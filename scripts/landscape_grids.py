@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from recycled_mzi import sweep
+from recycled_mzi.cli import sweep_csv
 
 
 @dataclass
@@ -25,12 +26,8 @@ class Config:
 
 def write_grid(config: Config, metric: str, loss: float) -> Path:
     grid = sweep(metric, loss, config.grid, config.grid)
-    lines = ["phi,theta0,value"]
-    for i, phi in enumerate(grid.phi_points):
-        for j, theta0 in enumerate(grid.theta0_points):
-            lines.append(f"{phi:.12g},{theta0:.12g},{grid.values[i, j]:.12g}")
     path = config.out_dir / f"{metric}_loss{loss:g}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(sweep_csv(grid), encoding="utf-8")
     return path
 
 

@@ -9,23 +9,20 @@ from .errors import (
     ModelError,
     ParameterError,
     ResonantPoleError,
-    ZeroInformationError,
 )
 from .landscape import OptimumRecord, SweepGrid, loss_curve, maximize, sweep
 from .loop import (
     RecycledCoefficients,
+    cascade,
+    closed_form,
     closed_form_coefficients,
     iterate_series,
     loop_ratio,
     stages_for_tolerance,
-    upsilon_xi,
 )
 from .metrology import (
-    GaussianMoments,
     MeritReport,
-    homodyne_moments,
     lambda1,
-    lambda1_numeric,
     lambda1_values,
     lambda2,
     lambda2_values,
@@ -33,24 +30,13 @@ from .metrology import (
     lambda3_values,
     merit_report,
     photon_numbers,
-    qcrb_general,
 )
-from .optics import (
-    ComplexCoefficient2x2,
-    LoopParameters,
-    beam_splitter_matrix,
-    compose_mzi,
-    loss_transform,
-    mzi_entries,
-    phase_matrix,
-)
+from .optics import LoopParameters, mzi_entries
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexCoefficient2x2",
     "ConvergenceError",
-    "GaussianMoments",
     "LoopParameters",
     "MeritReport",
     "ModelError",
@@ -59,14 +45,11 @@ __all__ = [
     "RecycledCoefficients",
     "ResonantPoleError",
     "SweepGrid",
-    "ZeroInformationError",
-    "beam_splitter_matrix",
+    "cascade",
+    "closed_form",
     "closed_form_coefficients",
-    "compose_mzi",
-    "homodyne_moments",
     "iterate_series",
     "lambda1",
-    "lambda1_numeric",
     "lambda1_values",
     "lambda2",
     "lambda2_values",
@@ -74,14 +57,10 @@ __all__ = [
     "lambda3_values",
     "loop_ratio",
     "loss_curve",
-    "loss_transform",
     "maximize",
     "merit_report",
     "mzi_entries",
-    "phase_matrix",
     "photon_numbers",
-    "qcrb_general",
     "stages_for_tolerance",
     "sweep",
-    "upsilon_xi",
 ]

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,9 +24,8 @@ import sys
 import tempfile
 
 from .errors import ModelError
-from .landscape import OptimumRecord, loss_curve, sweep
+from .landscape import SweepGrid, loss_curve, sweep
 from .metrology import METRICS, merit_report
-from .loop import closed_form_coefficients
 from .optics import LoopParameters
 from . import verification
 
@@ -45,6 +45,11 @@ def _write_text(text: str, out_path: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates the file private (0600); give it the mode a plain
+        # open() would, 0666 less the umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, out_path)
@@ -79,7 +84,6 @@ def cmd_point(args: argparse.Namespace) -> int:
         alpha_phase=_radians(args.alpha_phase, args.degrees),
     )
     report = merit_report(params)
-    coef = closed_form_coefficients(params)
     payload = {
         "lambda1": report.lambda1,
         "lambda2": report.lambda2,
@@ -89,17 +93,15 @@ def cmd_point(args: argparse.Namespace) -> int:
         "n_a_out": report.n_a_out,
         "n_b_out": report.n_b_out,
         "n_total_inside": report.n_total_inside,
-        "upsilon": [coef.upsilon.real, coef.upsilon.imag],
-        "xi": [coef.xi.real, coef.xi.imag],
+        "upsilon": [report.upsilon.real, report.upsilon.imag],
+        "xi": [report.xi.real, report.xi.imag],
     }
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    n_phi = args.n_phi if args.n_phi is not None else args.n
-    n_theta0 = args.n_theta0 if args.n_theta0 is not None else args.n
-    grid = sweep(args.metric, args.loss, n_phi, n_theta0)
+def sweep_csv(grid: SweepGrid) -> str:
+    """CSV text `phi,theta0,value` of a sweep, row-major in phi then theta0."""
     lines = ["phi,theta0,value"]
     for i, phi in enumerate(grid.phi_points):
         row = grid.values[i]
@@ -107,22 +109,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             lines.append(
                 f"{_format_number(phi)},{_format_number(theta0)},{_format_number(row[j])}"
             )
-    _write_text("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    n_phi = args.n_phi if args.n_phi is not None else args.n
+    n_theta0 = args.n_theta0 if args.n_theta0 is not None else args.n
+    grid = sweep(args.metric, args.loss, n_phi, n_theta0)
+    _write_text(sweep_csv(grid), args.out)
     return EXIT_OK
 
 
-def _optimize_rows(records: list[OptimumRecord | tuple[float, str, str]]) -> str:
-    lines = ["loss,metric,lambda_max,phi_star,theta0_star,evaluations,error"]
-    for record in records:
-        if isinstance(record, OptimumRecord):
-            lines.append(
-                f"{_format_number(record.loss)},{record.metric_tag},"
-                f"{_format_number(record.lambda_max)},{_format_number(record.phi_star)},"
-                f"{_format_number(record.theta0_star)},{record.evaluations},"
-            )
-        else:
-            loss, metric_tag, message = record
-            lines.append(f"{_format_number(loss)},{metric_tag},,,,,{message}")
+# CSV columns of `optimize`, as keys of its JSON records; a success record
+# has no "error", a failure record only "loss", "metric_tag" and "error".
+OPTIMIZE_HEADER = "loss,metric,lambda_max,phi_star,theta0_star,evaluations,error"
+OPTIMIZE_KEYS = ("loss", "metric_tag", "lambda_max", "phi_star", "theta0_star",
+                 "evaluations", "error")
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return _format_number(value) if isinstance(value, float) else str(value)
+
+
+def _optimize_csv(rows: list[dict]) -> str:
+    lines = [OPTIMIZE_HEADER]
+    lines.extend(",".join(_csv_field(row.get(key)) for key in OPTIMIZE_KEYS) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -131,34 +144,19 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     for loss in losses:
         if not 0.0 < loss <= 1.0:
             raise ModelError(f"loss must lie in (0, 1], got {loss}")
-    records: list[OptimumRecord | tuple[float, str, str]] = []
-    successes = 0
+    rows = []
     for loss in losses:
         try:
-            records.extend(loss_curve(args.metric, [loss], grid_seed=args.grid_seed,
-                                       tol=args.tol))
-            successes += 1
+            (record,) = loss_curve(args.metric, [loss], grid_seed=args.grid_seed, tol=args.tol)
+            rows.append(dataclasses.asdict(record))
         except ModelError as exc:
-            records.append((loss, args.metric, str(exc).replace(",", ";")))
+            rows.append({"loss": loss, "metric_tag": args.metric,
+                         "error": str(exc).replace(",", ";")})
     if args.format == "json":
-        payload = []
-        for record in records:
-            if isinstance(record, OptimumRecord):
-                payload.append({
-                    "loss": record.loss,
-                    "metric_tag": record.metric_tag,
-                    "lambda_max": record.lambda_max,
-                    "phi_star": record.phi_star,
-                    "theta0_star": record.theta0_star,
-                    "evaluations": record.evaluations,
-                })
-            else:
-                loss, metric_tag, message = record
-                payload.append({"loss": loss, "metric_tag": metric_tag, "error": message})
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_text(json.dumps(rows, indent=2) + "\n", args.out)
     else:
-        _write_text(_optimize_rows(records), args.out)
-    return EXIT_OK if successes > 0 else EXIT_USAGE
+        _write_text(_optimize_csv(rows), args.out)
+    return EXIT_OK if any("error" not in row for row in rows) else EXIT_USAGE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -247,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ModelError as exc:
+    # An unwritable --out path is a usage error like a domain error.
+    except (ModelError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}),
               file=sys.stderr)
         return EXIT_USAGE

@@ -14,8 +14,5 @@ class ResonantPoleError(ModelError):
 
 
 class ConvergenceError(ModelError):
-    """The recycling series does not contract, so no stage count can reach the tolerance."""
+    """The recycling series does not contract fast enough to reach the tolerance."""
 
-
-class ZeroInformationError(ModelError):
-    """The output carries no phase information; the estimation bound diverges."""

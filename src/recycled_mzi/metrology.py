@@ -14,7 +14,7 @@ conventional interferometer fed by the same coherent state:
 Each factor has two implementations: a closed trigonometric form (the
 `lambda*` functions and their `*_values` vectorized kernels) and an
 independent route through the loop coefficients or finite differences,
-cross-checked in the verification suite.
+which lives in the verification suites.
 
 The local oscillator of the homodyne detector is referenced to the input
 carrier, so the input phase alpha_phase drops out of every factor.
@@ -27,11 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ZeroInformationError
-from .loop import check_off_resonance, closed_form_coefficients, upsilon_xi
+from .loop import RecycledCoefficients, check_off_resonance, closed_form_coefficients
 from .optics import LoopParameters
-
-DEFAULT_STEP = 1e-6
 
 # The closed trigonometric kernels divide by the squared loop denominator,
 # which loses every significant double-precision digit well before the
@@ -41,21 +38,13 @@ KERNEL_POLE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
-class GaussianMoments:
-    """First and second quadrature moments of the monitored output mode."""
-
-    mean_x: float
-    mean_p: float
-    covariance: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeritReport:
     """All figures of merit at one operating point.
 
     dphi_hd and dphi_qcrb are the homodyne sensitivity and the quantum
     Cramer-Rao bound in radians; they are +inf where the corresponding
-    factor vanishes or the input carries no photons.
+    factor vanishes or the input carries no photons.  upsilon and xi are the
+    closed-form loop coefficients the photon numbers derive from.
     """
 
     lambda1: float
@@ -66,6 +55,8 @@ class MeritReport:
     n_a_out: float
     n_b_out: float
     n_total_inside: float
+    upsilon: complex
+    xi: complex
 
 
 def _trig_pieces(phi, theta0, loss):
@@ -103,82 +94,28 @@ def lambda3_values(phi, theta0, loss):
     return (2.0 * trans * theta_shift - 2.0 * np.asarray(loss) + 4.0) / half_denom_sq
 
 
+def _factor_at(kernel, params: LoopParameters) -> float:
+    check_off_resonance(params.phi, params.theta0, params.loss, KERNEL_POLE_THRESHOLD)
+    return float(kernel(params.phi, params.theta0, params.loss))
+
+
 def lambda1(params: LoopParameters) -> float:
     """Homodyne enhancement factor at one operating point.
 
     Zero (not an error) where the mean quadrature is stationary in phi;
     the sensitivity there is reported as +inf by `merit_report`.
     """
-    check_off_resonance(params, KERNEL_POLE_THRESHOLD)
-    return float(lambda1_values(params.phi, params.theta0, params.loss))
+    return _factor_at(lambda1_values, params)
 
 
 def lambda2(params: LoopParameters) -> float:
     """Quantum Cramer-Rao enhancement factor at one operating point."""
-    check_off_resonance(params, KERNEL_POLE_THRESHOLD)
-    return float(lambda2_values(params.phi, params.theta0, params.loss))
+    return _factor_at(lambda2_values, params)
 
 
 def lambda3(params: LoopParameters) -> float:
     """Circulating-photon enhancement factor at one operating point."""
-    check_off_resonance(params, KERNEL_POLE_THRESHOLD)
-    return float(lambda3_values(params.phi, params.theta0, params.loss))
-
-
-def homodyne_moments(params: LoopParameters) -> GaussianMoments:
-    """Quadrature means and covariance of the monitored output.
-
-    The output stays a pure coherent state for any coherent input, so the
-    covariance is exactly the identity; only the means carry the phase.
-    """
-    coef = closed_form_coefficients(params)
-    amp = coef.upsilon * params.alpha
-    return GaussianMoments(
-        mean_x=2.0 * amp.real,
-        mean_p=2.0 * amp.imag,
-        covariance=np.eye(2),
-    )
-
-
-def _check_step(step: float) -> None:
-    if not 0.0 < step <= 1e-3:
-        raise ParameterError(f"step must lie in (0, 1e-3], got {step}")
-
-
-def lambda1_numeric(params: LoopParameters, step: float = DEFAULT_STEP) -> float:
-    """Homodyne enhancement factor by central-difference error propagation.
-
-    Independent of the closed form: differentiates the carrier-referenced
-    mean quadrature through the loop coefficients.  Truncation error scales
-    with step**2 and grows near the sharp resonance ridge.
-    """
-    _check_step(step)
-    upper = closed_form_coefficients(_shift_phi(params, +step)).upsilon
-    lower = closed_form_coefficients(_shift_phi(params, -step)).upsilon
-    return abs((upper - lower).real) / step
-
-
-def qcrb_general(params: LoopParameters, step: float = DEFAULT_STEP) -> float:
-    """Phase-estimation bound from the general pure-Gaussian expression.
-
-    Evaluates (dX^T Gamma^-1 dX + tr((dGamma Gamma^-1)^2)/4)^(-1/2) with the
-    moment derivatives taken by central differences.  Reduces to
-    1/(lambda2*|alpha|) here because the covariance is constant.
-    """
-    _check_step(step)
-    mid = homodyne_moments(params)
-    upper = homodyne_moments(_shift_phi(params, +step))
-    lower = homodyne_moments(_shift_phi(params, -step))
-    dmean = np.array([upper.mean_x - lower.mean_x,
-                      upper.mean_p - lower.mean_p]) / (2.0 * step)
-    if float(np.hypot(dmean[0], dmean[1])) < 1e-12:
-        raise ZeroInformationError(
-            "mean quadratures are insensitive to phi: the bound diverges"
-        )
-    cov_inv = np.linalg.inv(mid.covariance)
-    dcov = (upper.covariance - lower.covariance) / (2.0 * step)
-    info = float(dmean @ cov_inv @ dmean) + float(np.trace((dcov @ cov_inv) @ (dcov @ cov_inv))) / 4.0
-    return 1.0 / math.sqrt(info)
+    return _factor_at(lambda3_values, params)
 
 
 def photon_numbers(params: LoopParameters) -> tuple[float, float, float]:
@@ -188,19 +125,26 @@ def photon_numbers(params: LoopParameters) -> tuple[float, float, float]:
     number inside the interferometer equal to the sum of the two output
     numbers, |upsilon*alpha|**2 + |xi*alpha|**2.
     """
-    coef = closed_form_coefficients(params)
-    n_input = params.alpha_mag**2
+    return _photon_numbers(closed_form_coefficients(params), params.alpha_mag)
+
+
+def _photon_numbers(coef: RecycledCoefficients, alpha_mag: float) -> tuple[float, float, float]:
+    n_input = alpha_mag**2
     n_a = abs(coef.upsilon) ** 2 * n_input
     n_b = abs(coef.xi) ** 2 * n_input
     return n_a, n_b, n_a + n_b
 
 
 def merit_report(params: LoopParameters) -> MeritReport:
-    """All figures of merit at one operating point."""
-    l1 = lambda1(params)
-    l2 = lambda2(params)
-    l3 = lambda3(params)
-    n_a, n_b, n_total = photon_numbers(params)
+    """All figures of merit at one operating point.
+
+    The wider kernel threshold guards the whole report, so the resonance is
+    checked and the coefficients are built once.
+    """
+    coef = closed_form_coefficients(params, KERNEL_POLE_THRESHOLD)
+    l1, l2, l3 = (float(kernel(params.phi, params.theta0, params.loss))
+                  for kernel in (lambda1_values, lambda2_values, lambda3_values))
+    n_a, n_b, n_total = _photon_numbers(coef, params.alpha_mag)
     return MeritReport(
         lambda1=l1,
         lambda2=l2,
@@ -210,16 +154,8 @@ def merit_report(params: LoopParameters) -> MeritReport:
         n_a_out=n_a,
         n_b_out=n_b,
         n_total_inside=n_total,
-    )
-
-
-def _shift_phi(params: LoopParameters, delta: float) -> LoopParameters:
-    return LoopParameters(
-        phi=params.phi + delta,
-        theta0=params.theta0,
-        loss=params.loss,
-        alpha_mag=params.alpha_mag,
-        alpha_phase=params.alpha_phase,
+        upsilon=coef.upsilon,
+        xi=coef.xi,
     )
 
 

@@ -1,6 +1,6 @@
-"""Two-mode scattering-matrix algebra: balanced beam splitters, a one-arm
-phase shifter, their Mach-Zehnder composition, and the vacuum-admixture
-transform of a lossy channel.
+"""Operating point of the recycled interferometer and the scattering matrix
+of its Mach-Zehnder core: balanced beam splitter, one-arm phase shifter,
+balanced beam splitter.
 
 Sign convention: the phase shifter multiplies the upper arm by exp(-i*phi)
 and leaves the lower arm untouched.  All closed forms downstream assume this
@@ -16,37 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ComplexCoefficient2x2:
-    """Scattering matrix of a passive two-mode element."""
-
-    s11: complex
-    s12: complex
-    s21: complex
-    s22: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.s11, self.s12], [self.s21, self.s22]], dtype=complex)
-
-    def dagger(self) -> "ComplexCoefficient2x2":
-        return ComplexCoefficient2x2(
-            s11=self.s11.conjugate(),
-            s12=self.s21.conjugate(),
-            s21=self.s12.conjugate(),
-            s22=self.s22.conjugate(),
-        )
-
-    def __matmul__(self, other: "ComplexCoefficient2x2") -> "ComplexCoefficient2x2":
-        return ComplexCoefficient2x2(
-            s11=self.s11 * other.s11 + self.s12 * other.s21,
-            s12=self.s11 * other.s12 + self.s12 * other.s22,
-            s21=self.s21 * other.s11 + self.s22 * other.s21,
-            s22=self.s21 * other.s12 + self.s22 * other.s22,
-        )
 
 
 @dataclass(frozen=True)
@@ -73,46 +42,21 @@ class LoopParameters:
             raise ParameterError("alpha_phase must be finite")
         if not 0.0 <= self.loss <= 1.0:
             raise ParameterError(f"loss must lie in [0, 1], got {self.loss}")
-        if not self.alpha_mag >= 0.0:
-            raise ParameterError(f"alpha_mag must be >= 0, got {self.alpha_mag}")
+        # The photon numbers scale with alpha_mag**2, which must stay finite.
+        if not (self.alpha_mag >= 0.0 and math.isfinite(self.alpha_mag * self.alpha_mag)):
+            raise ParameterError(
+                f"alpha_mag must be >= 0 with a finite square, got {self.alpha_mag}")
 
     @property
     def alpha(self) -> complex:
         return self.alpha_mag * cmath.exp(1j * self.alpha_phase)
 
 
-def beam_splitter_matrix() -> ComplexCoefficient2x2:
-    """Balanced 50:50 beam splitter, (1/sqrt(2)) [[1, i], [i, 1]]."""
-    return ComplexCoefficient2x2(
-        s11=complex(_INV_SQRT2), s12=1j * _INV_SQRT2,
-        s21=1j * _INV_SQRT2, s22=complex(_INV_SQRT2),
-    )
-
-
-def phase_matrix(phi: float) -> ComplexCoefficient2x2:
-    """Upper-arm phase shifter diag(exp(-i*phi), 1)."""
-    if not math.isfinite(phi):
-        raise ParameterError("phi must be finite")
-    return ComplexCoefficient2x2(
-        s11=cmath.exp(-1j * phi), s12=0j, s21=0j, s22=1 + 0j,
-    )
-
-
-def compose_mzi(phi: float) -> ComplexCoefficient2x2:
-    """Mach-Zehnder scattering matrix: splitter, phase shifter, splitter.
-
-    Assembled as the triple matrix product; `mzi_entries` gives the same
-    matrix from the expanded entry formulas, and the two must agree to
-    rounding.
-    """
-    bs = beam_splitter_matrix()
-    return bs @ phase_matrix(phi) @ bs
-
-
 def mzi_entries(phi):
     """Expanded entries of the Mach-Zehnder matrix, broadcasting over phi.
 
-    Returns (s11, s12, s21, s22) with
+    The matrix is bs @ diag(exp(-i*phi), 1) @ bs with the balanced splitter
+    bs = [[1, i], [i, 1]]/sqrt(2).  Returns (s11, s12, s21, s22) with
         s11 = (exp(-i*phi) - 1)/2      s12 = i (exp(-i*phi) + 1)/2
         s21 = i (exp(-i*phi) + 1)/2    s22 = (1 - exp(-i*phi))/2
     """
@@ -121,14 +65,3 @@ def mzi_entries(phi):
     s12 = 0.5j * (u + 1.0)
     return s11, s12, s12, -s11
 
-
-def loss_transform(amplitude_coef: complex, loss: float) -> tuple[complex, float]:
-    """Mix a mode with vacuum on the fictitious loss beam splitter.
-
-    Returns (sqrt(1-loss)*amplitude_coef, sqrt(loss)): the surviving signal
-    coefficient and the admixed vacuum coefficient.  For a unit-magnitude
-    input the two squared magnitudes sum to one.
-    """
-    if not 0.0 <= loss <= 1.0:
-        raise ParameterError(f"loss must lie in [0, 1], got {loss}")
-    return math.sqrt(1.0 - loss) * amplitude_coef, math.sqrt(loss)

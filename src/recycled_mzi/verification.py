@@ -8,6 +8,9 @@ pseudo-random points and regular grids and report the worst deviation of
 each pair, together with the tolerance it must stay under.  The command
 line `verify` subcommand prints these results and gates its exit code on
 them.
+
+Each suite evaluates all its points and losses in one broadcast call per
+route, with the losses along the first axis.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loop import closed_form_coefficients, iterate_series, stages_for_tolerance, upsilon_xi
+from .errors import ParameterError
+from .loop import cascade, closed_form, passes_for_tolerance
+# Unused here; the per-layer tracer (bench/tracing.py) looks these names up
+# in this module.
+from .loop import closed_form_coefficients, iterate_series  # noqa: F401
 from .metrology import lambda1_values, lambda2_values, lambda3_values
-from .optics import LoopParameters
 
 DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
@@ -49,8 +55,21 @@ class CheckResult:
 
 def sample_points(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Seeded pseudo-random (phi, theta0) pairs, uniform over [0, 2*pi)^2."""
+    if points < 1:
+        raise ParameterError(f"points must be >= 1, got {points}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * np.pi, size=(points, 2))
+
+
+def _at_losses(points: np.ndarray, losses):
+    """(phi, theta0, loss) broadcasting every point against every loss."""
+    return points[:, 0], points[:, 1], np.asarray(losses, dtype=float)[:, None]
+
+
+def _worst(deviation) -> float:
+    return float(np.max(np.abs(deviation), initial=0.0))
 
 
 def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES,
@@ -58,24 +77,20 @@ def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES,
                        stage_tol: float = STAGE_TOL) -> CheckResult:
     """Iterated cascade versus summed closed form.
 
-    With stages=None each point iterates until its loop-ratio power drops
-    under stage_tol; a fixed stage count can be forced to demonstrate how a
-    truncated cascade falls short of the steady state.
+    With stages=None each point makes the recycling passes that bring its
+    loop-ratio power under stage_tol; a fixed stage count can be forced to
+    demonstrate how a truncated cascade falls short of the steady state.
     """
-    worst = 0.0
-    for loss in losses:
-        for phi, theta0 in points:
-            params = LoopParameters(phi=float(phi), theta0=float(theta0), loss=float(loss))
-            m = stages if stages is not None else stages_for_tolerance(params, stage_tol)
-            iterated = iterate_series(params, m)
-            closed = closed_form_coefficients(params)
-            worst = max(
-                worst,
-                abs(iterated.upsilon - closed.upsilon),
-                abs(iterated.xi - closed.xi),
-                abs(abs(iterated.vac_a) - abs(closed.vac_a)),
-                abs(abs(iterated.vac_b) - abs(closed.vac_b)),
-            )
+    phi, theta0, loss = _at_losses(points, losses)
+    passes = passes_for_tolerance(phi, theta0, loss, stage_tol) if stages is None else stages - 1
+    iterated = cascade(phi, theta0, loss, passes)
+    closed = closed_form(phi, theta0, loss)
+    worst = max(
+        _worst(iterated.upsilon - closed.upsilon),
+        _worst(iterated.xi - closed.xi),
+        _worst(np.abs(iterated.vac_a) - np.abs(closed.vac_a)),
+        _worst(np.abs(iterated.vac_b) - np.abs(closed.vac_b)),
+    )
     return CheckResult("oracle equivalence (cascade vs closed form)", worst, ORACLE_TOL)
 
 
@@ -85,80 +100,81 @@ def output_normalization(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResu
     This sum rule is what pins the quadrature variance of the output to
     exactly one, so it doubles as the noise check for homodyne detection.
     """
-    worst = 0.0
-    for loss in losses:
-        for phi, theta0 in points:
-            params = LoopParameters(phi=float(phi), theta0=float(theta0), loss=float(loss))
-            coef = closed_form_coefficients(params)
-            dev = abs(abs(coef.upsilon) ** 2 + abs(coef.vac_a) ** 2 - 1.0)
-            worst = max(worst, dev)
+    coef = closed_form(*_at_losses(points, losses))
+    worst = _worst(np.abs(coef.upsilon) ** 2 + np.abs(coef.vac_a) ** 2 - 1.0)
     return CheckResult("output-mode normalization", worst, NORMALIZATION_TOL)
 
 
 def energy_balance(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
     """|upsilon|**2 + loss*|xi|**2 = 1: photons exit at a or are absorbed."""
-    worst = 0.0
-    for loss in losses:
-        for phi, theta0 in points:
-            params = LoopParameters(phi=float(phi), theta0=float(theta0), loss=float(loss))
-            coef = closed_form_coefficients(params)
-            dev = abs(abs(coef.upsilon) ** 2 + loss * abs(coef.xi) ** 2 - 1.0)
-            worst = max(worst, dev)
+    phi, theta0, loss = _at_losses(points, losses)
+    coef = closed_form(phi, theta0, loss)
+    worst = _worst(np.abs(coef.upsilon) ** 2 + loss * np.abs(coef.xi) ** 2 - 1.0)
     return CheckResult("energy balance", worst, ENERGY_TOL)
 
 
-def _derivative_grid(grid_n: int):
-    axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    return axis[:, None], axis[None, :]
+def finite_difference_factors(phi, theta0, loss, step: float = DEFAULT_STEP):
+    """lambda1 and lambda2 by central differences in phi (broadcasts).
+
+    Independent of the closed trigonometric kernels: differentiates the
+    closed-form coefficient upsilon.  The homodyne factor is the slope of
+    the carrier-referenced mean quadrature, 2|Re(d upsilon/d phi)|; the
+    bound factor is 2|d upsilon/d phi|.  Truncation error scales with
+    step**2 and grows near the sharp resonance ridge.
+    """
+    if not 0.0 < step <= 1e-3:
+        raise ParameterError(f"step must lie in (0, 1e-3], got {step}")
+    phi = np.asarray(phi)
+    upper = closed_form(phi + step, theta0, loss).upsilon
+    lower = closed_form(phi - step, theta0, loss).upsilon
+    diff = upper - lower
+    return np.abs(diff.real) / step, np.abs(diff) / step
 
 
-def hd_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES,
-                            step: float = DEFAULT_STEP) -> CheckResult:
-    """Closed homodyne factor versus finite-difference error propagation.
+def _factor_vs_derivative(name: str, kernel, route: int, grid_n: int, losses,
+                          step: float) -> CheckResult:
+    """Closed factor `kernel` versus finite_difference_factors(...)[route],
+    relative, over a grid_n x grid_n grid at each loss.
 
     Points where the factor is below SMALL_VALUE_FLOOR are excluded: near
     signal nulls the relative comparison measures only cancellation noise.
     """
-    phi, theta0 = _derivative_grid(grid_n)
-    worst = 0.0
-    for loss in losses:
-        closed = lambda1_values(phi, theta0, loss)
-        upper, _ = upsilon_xi(phi + step, theta0, loss)
-        lower, _ = upsilon_xi(phi - step, theta0, loss)
-        numeric = np.abs((upper - lower).real) / step
-        mask = closed >= SMALL_VALUE_FLOOR
-        rel = np.abs(numeric[mask] - closed[mask]) / closed[mask]
-        worst = max(worst, float(rel.max()))
-    return CheckResult("homodyne factor vs finite difference", worst, DERIVATIVE_RTOL)
+    if grid_n < 2:
+        raise ParameterError(f"derivative grid needs at least 2 points per axis, got {grid_n}")
+    axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+    phi, theta0 = axis[:, None], axis[None, :]
+    loss = np.asarray(losses, dtype=float)[:, None, None]
+    closed = kernel(phi, theta0, loss)
+    numeric = finite_difference_factors(phi, theta0, loss, step)[route]
+    mask = closed >= SMALL_VALUE_FLOOR
+    if not mask.any():
+        raise ParameterError(f"no point of the {grid_n}x{grid_n} derivative grid has a "
+                             f"factor >= {SMALL_VALUE_FLOOR}")
+    worst = _worst((numeric[mask] - closed[mask]) / closed[mask])
+    return CheckResult(name, worst, DERIVATIVE_RTOL)
+
+
+def hd_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES,
+                            step: float = DEFAULT_STEP) -> CheckResult:
+    """Closed homodyne factor versus finite-difference error propagation."""
+    return _factor_vs_derivative("homodyne factor vs finite difference", lambda1_values, 0,
+                                 grid_n, losses, step)
 
 
 def qcrb_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES,
                               step: float = DEFAULT_STEP) -> CheckResult:
     """Closed bound factor versus twice the modulus of the coefficient slope."""
-    phi, theta0 = _derivative_grid(grid_n)
-    worst = 0.0
-    for loss in losses:
-        closed = lambda2_values(phi, theta0, loss)
-        upper, _ = upsilon_xi(phi + step, theta0, loss)
-        lower, _ = upsilon_xi(phi - step, theta0, loss)
-        numeric = np.abs(upper - lower) / step
-        mask = closed >= SMALL_VALUE_FLOOR
-        rel = np.abs(numeric[mask] - closed[mask]) / closed[mask]
-        worst = max(worst, float(rel.max()))
-    return CheckResult("qcrb factor vs finite difference", worst, DERIVATIVE_RTOL)
+    return _factor_vs_derivative("qcrb factor vs finite difference", lambda2_values, 1,
+                                 grid_n, losses, step)
 
 
 def photon_factor_consistency(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
     """Closed photon factor versus |upsilon|**2 + |xi|**2, relative."""
-    phi = points[:, 0]
-    theta0 = points[:, 1]
-    worst = 0.0
-    for loss in losses:
-        upsilon, xi = upsilon_xi(phi, theta0, float(loss))
-        assembled = np.abs(upsilon) ** 2 + np.abs(xi) ** 2
-        closed = lambda3_values(phi, theta0, float(loss))
-        rel = np.abs(closed - assembled) / np.maximum(1.0, assembled)
-        worst = max(worst, float(rel.max()))
+    phi, theta0, loss = _at_losses(points, losses)
+    coef = closed_form(phi, theta0, loss)
+    assembled = np.abs(coef.upsilon) ** 2 + np.abs(coef.xi) ** 2
+    closed = lambda3_values(phi, theta0, loss)
+    worst = _worst((closed - assembled) / np.maximum(1.0, assembled))
     return CheckResult("photon factor vs coefficient sum", worst, PHOTON_SUM_RTOL)
 
 

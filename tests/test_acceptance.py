@@ -14,6 +14,7 @@ import pytest
 
 from recycled_mzi import (
     LoopParameters,
+    closed_form,
     closed_form_coefficients,
     iterate_series,
     lambda1_values,
@@ -21,13 +22,10 @@ from recycled_mzi import (
     lambda2_values,
     lambda3_values,
     loss_curve,
-    qcrb_general,
-    stages_for_tolerance,
     sweep,
-    upsilon_xi,
 )
 from recycled_mzi.cli import main
-from recycled_mzi.verification import sample_points
+from recycled_mzi.verification import finite_difference_factors, oracle_equivalence, sample_points
 
 ORACLE_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 GRID_LOSSES = (0.05, 0.10, 0.15, 0.20)
@@ -89,55 +87,36 @@ def test_criterion_2_conventional_limit():
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "iterated cascade matches closed form"):
         start = time.perf_counter()
-        points = sample_points(1000, seed=0)
-        worst = 0.0
-        for loss in ORACLE_LOSSES:
-            for phi, theta0 in points:
-                params = LoopParameters(phi=float(phi), theta0=float(theta0), loss=loss)
-                stages = stages_for_tolerance(params, 1e-14)
-                iterated = iterate_series(params, stages)
-                closed = closed_form_coefficients(params)
-                worst = max(
-                    worst,
-                    abs(iterated.upsilon - closed.upsilon),
-                    abs(iterated.xi - closed.xi),
-                    abs(abs(iterated.vac_a) - abs(closed.vac_a)),
-                    abs(abs(iterated.vac_b) - abs(closed.vac_b)),
-                )
+        result = oracle_equivalence(sample_points(1000, seed=0), ORACLE_LOSSES, stage_tol=1e-14)
         elapsed = time.perf_counter() - start
-        assert worst < 1e-10
+        assert result.deviation < 1e-10
         assert elapsed < 5.0
 
 
 def test_criterion_4_purity_and_energy_balance():
     with criterion(4, "unit output noise and energy balance"):
         points = sample_points(1000, seed=0)
-        worst_norm = 0.0
-        worst_energy = 0.0
-        for loss in ORACLE_LOSSES:
-            for phi, theta0 in points:
-                coef = closed_form_coefficients(
-                    LoopParameters(phi=float(phi), theta0=float(theta0), loss=loss))
-                worst_norm = max(worst_norm,
-                                 abs(abs(coef.upsilon) ** 2 + abs(coef.vac_a) ** 2 - 1.0))
-                worst_energy = max(worst_energy,
-                                   abs(abs(coef.upsilon) ** 2 + loss * abs(coef.xi) ** 2 - 1.0))
+        loss = np.array(ORACLE_LOSSES)[:, None]
+        coef = closed_form(points[:, 0], points[:, 1], loss)
+        assert coef.upsilon.shape == (len(ORACLE_LOSSES), 1000)
+        worst_norm = np.max(np.abs(np.abs(coef.upsilon) ** 2 + np.abs(coef.vac_a) ** 2 - 1.0))
+        worst_energy = np.max(np.abs(np.abs(coef.upsilon) ** 2 + loss * np.abs(coef.xi) ** 2
+                                     - 1.0))
         assert worst_norm < 1e-12
         assert worst_energy < 1e-12
 
 
 def test_criterion_5_qcrb_consistency():
-    with criterion(5, "general bound formula agrees with the closed factor"):
+    with criterion(5, "finite-difference bound agrees with the closed factor"):
         phi, theta0 = grid_axes(50)
         step = 1e-6
         for loss in GRID_LOSSES:
             closed = lambda2_values(phi, theta0, loss)
-            upper, _ = upsilon_xi(phi + step, theta0, loss)
-            lower, _ = upsilon_xi(phi - step, theta0, loss)
-            numeric = np.abs(upper - lower) / step
+            numeric = finite_difference_factors(phi, theta0, loss, step)[1]
             assert np.max(np.abs(numeric - closed) / closed) < 1e-6
-        # The general-formula bound times the closed factor is the shot-noise
-        # limit; spot the identity across the grid where the factor is alive.
+        # The finite-difference bound times the closed factor is the
+        # shot-noise limit; spot the identity at single points across the
+        # grid where the factor is alive.
         axis = np.linspace(0.0, 2 * np.pi, 50, endpoint=False)
         worst = 0.0
         for loss in GRID_LOSSES:
@@ -148,7 +127,9 @@ def test_criterion_5_qcrb_consistency():
                     factor = lambda2(params)
                     if factor <= 1e-3:
                         continue
-                    worst = max(worst, abs(qcrb_general(params, step) * factor - 1.0))
+                    bound = 1.0 / float(finite_difference_factors(params.phi, params.theta0,
+                                                                 params.loss, step)[1])
+                    worst = max(worst, abs(bound * factor - 1.0))
         assert worst < 1e-6
 
 

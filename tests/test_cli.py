@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -187,11 +189,49 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    # Seeds whose points near phi = 0 exposed a cascade one pass short.
+    @pytest.mark.parametrize("seed", [9, 12, 15, 33])
+    def test_oracle_passes_near_phi_zero(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "verify", "--points", "3000", "--seed", str(seed))
+        assert code == 0
+        assert "all checks passed" in out
+
     def test_dead_loop_oracle_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--losses", "1.0", "--points", "200")
         assert code == 0
         oracle_line = next(line for line in out.splitlines() if "oracle" in line)
         assert "0.000e+00" in oracle_line
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("verify", "--points", "0"), "ParameterError"),
+    (("verify", "--grid", "1"), "ParameterError"),
+    # The lossless loop near phi = pi needs more cascade passes than the cap.
+    (("verify", "--losses", "0"), "ConvergenceError"),
+    (("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "4", "--out", "{missing}/x.csv"),
+     "FileNotFoundError"),
+    (("point", "--phi", "1", "--theta0", "0", "--loss", "0.1", "--alpha", "1e200"),
+     "ParameterError"),
+])
+def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+def test_out_file_mode_follows_umask(capsys, tmp_path):
+    target = tmp_path / "point.json"
+    previous = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(capsys, "point", "--phi", "1", "--theta0", "2", "--loss", "0.2",
+                             "--out", str(target))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_module_entry_point():

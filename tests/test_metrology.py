@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from recycled_mzi import (
     LoopParameters,
     ParameterError,
-    ZeroInformationError,
-    homodyne_moments,
+    closed_form_coefficients,
     lambda1,
-    lambda1_numeric,
     lambda1_values,
     lambda2,
     lambda2_values,
@@ -18,8 +16,8 @@ from recycled_mzi import (
     lambda3_values,
     merit_report,
     photon_numbers,
-    qcrb_general,
 )
+from recycled_mzi.verification import finite_difference_factors, output_normalization
 
 REFERENCE = LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10)
 
@@ -30,28 +28,32 @@ def angle_grid(n=100):
     return np.linspace(0.0, 2 * math.pi, n, endpoint=False)
 
 
+def fd_lambda1(params, step=1e-6):
+    return float(finite_difference_factors(params.phi, params.theta0, params.loss, step)[0])
+
+
+def fd_lambda2(params, step=1e-6):
+    return float(finite_difference_factors(params.phi, params.theta0, params.loss, step)[1])
+
+
 class TestHomodyneMoments:
+    # The homodyne mean quadrature is 2*Re(upsilon*alpha) and its variance
+    # is one because |upsilon|**2 + |vac_a|**2 = 1.
     def test_blocked_loop_quarter_phase(self):
-        moments = homodyne_moments(LoopParameters(phi=math.pi / 2, theta0=0.7, loss=1.0))
-        assert moments.mean_x == pytest.approx(-1.0, abs=1e-12)
+        coef = closed_form_coefficients(LoopParameters(phi=math.pi / 2, theta0=0.7, loss=1.0))
+        assert 2.0 * coef.upsilon.real == pytest.approx(-1.0, abs=1e-12)
 
     def test_covariance_is_identity(self):
         for params in (REFERENCE, LoopParameters(phi=1.0, theta0=2.0, loss=0.5)):
-            np.testing.assert_array_equal(homodyne_moments(params).covariance, np.eye(2))
-
-    def test_vacuum_input_has_no_signal(self):
-        moments = homodyne_moments(LoopParameters(phi=1.0, theta0=0.5, loss=0.2, alpha_mag=0.0))
-        assert moments.mean_x == 0.0
-        assert moments.mean_p == 0.0
+            result = output_normalization(np.array([[params.phi, params.theta0]]), (params.loss,))
+            assert result.passed
 
     def test_mean_follows_coherent_amplitude(self):
-        from recycled_mzi import closed_form_coefficients
         params = LoopParameters(phi=0.9, theta0=5.0, loss=0.3, alpha_mag=2.0, alpha_phase=0.4)
         coef = closed_form_coefficients(params)
-        moments = homodyne_moments(params)
-        amp = coef.upsilon * params.alpha
-        assert moments.mean_x == pytest.approx(2 * amp.real, abs=1e-12)
-        assert moments.mean_p == pytest.approx(2 * amp.imag, abs=1e-12)
+        n_a, n_b, _ = photon_numbers(params)
+        assert n_a == pytest.approx(abs(coef.upsilon * params.alpha) ** 2, rel=1e-12)
+        assert n_b == pytest.approx(abs(coef.xi * params.alpha) ** 2, rel=1e-12)
 
 
 class TestLambda1:
@@ -71,15 +73,15 @@ class TestLambda1:
 
 class TestLambda1Numeric:
     def test_reference_optimum(self):
-        assert lambda1_numeric(REFERENCE, step=1e-5) == pytest.approx(9.32, abs=1e-2)
+        assert fd_lambda1(REFERENCE, step=1e-5) == pytest.approx(9.32, abs=1e-2)
 
     def test_blocked_loop(self):
         params = LoopParameters(phi=math.pi / 2, theta0=0.0, loss=1.0)
-        assert lambda1_numeric(params, step=1e-5) == pytest.approx(1.0, abs=1e-6)
+        assert fd_lambda1(params, step=1e-5) == pytest.approx(1.0, abs=1e-6)
 
     def test_stationary_origin(self):
         params = LoopParameters(phi=0.0, theta0=0.0, loss=0.1)
-        assert lambda1_numeric(params, step=1e-5) < 1e-4
+        assert fd_lambda1(params, step=1e-5) < 1e-4
 
     def test_agrees_with_closed_form_on_grid(self):
         step = 1e-6
@@ -91,7 +93,7 @@ class TestLambda1Numeric:
                 for j in range(0, 50, 7):
                     if closed[i, j] < 1e-3:
                         continue
-                    numeric = lambda1_numeric(
+                    numeric = fd_lambda1(
                         LoopParameters(phi=float(phi[i, 0]), theta0=float(theta0[0, j]),
                                        loss=loss), step)
                     assert numeric == pytest.approx(closed[i, j], rel=1e-6)
@@ -99,7 +101,7 @@ class TestLambda1Numeric:
     @pytest.mark.parametrize("step", [0.0, -1e-6, 2e-3])
     def test_step_domain(self, step):
         with pytest.raises(ParameterError):
-            lambda1_numeric(REFERENCE, step)
+            fd_lambda1(REFERENCE, step)
 
 
 class TestLambda2:
@@ -117,9 +119,8 @@ class TestLambda2:
         # phi = theta0 = 0, L = 0.1.
         params = LoopParameters(phi=0.0, theta0=0.0, loss=0.1)
         assert lambda2(params) == pytest.approx(1.9 - 2 * math.sqrt(0.9), rel=1e-12)
-        # Cross-check through the general bound formula.
-        bound = qcrb_general(params, step=1e-6)
-        assert bound * lambda2(params) == pytest.approx(1.0, rel=1e-5)
+        # Cross-check through the finite-difference bound.
+        assert fd_lambda2(params) == pytest.approx(lambda2(params), rel=1e-5)
 
     def test_lower_bounds_homodyne_factor(self):
         phi = angle_grid(60)[:, None]
@@ -130,21 +131,18 @@ class TestLambda2:
 
 
 class TestQcrbGeneral:
+    # The bound is 1/(2|d upsilon/d phi| |alpha|), the pure-state Fisher
+    # information of a coherent output with unit covariance.
     def test_blocked_loop_reaches_shot_noise(self):
         params = LoopParameters(phi=math.pi / 2, theta0=0.0, loss=1.0)
-        assert qcrb_general(params, step=1e-6) == pytest.approx(1.0, abs=1e-6)
+        assert 1.0 / fd_lambda2(params) == pytest.approx(1.0, abs=1e-6)
 
     def test_consistent_with_closed_factor_at_reference(self):
-        bound = qcrb_general(REFERENCE, step=1e-6)
-        assert bound == pytest.approx(1.0 / lambda2(REFERENCE), abs=1e-6)
-
-    def test_vacuum_input_diverges(self):
-        with pytest.raises(ZeroInformationError):
-            qcrb_general(LoopParameters(phi=1.0, theta0=0.5, loss=0.2, alpha_mag=0.0))
+        assert 1.0 / fd_lambda2(REFERENCE) == pytest.approx(1.0 / lambda2(REFERENCE), abs=1e-6)
 
     def test_step_domain(self):
         with pytest.raises(ParameterError):
-            qcrb_general(REFERENCE, step=1.0)
+            fd_lambda2(REFERENCE, step=1.0)
 
 
 class TestPhotonNumbers:
@@ -180,7 +178,6 @@ class TestLambda3:
         assert lambda3_values(phi, theta0, 0.05).min() >= 1.0 - 1e-12
 
     def test_matches_coefficient_sum(self):
-        from recycled_mzi import closed_form_coefficients
         for phi, theta0 in ((2.5702, 0.3524), (1.0, 4.0), (5.5, 0.2)):
             for loss in (0.05, 0.2, 0.7):
                 params = LoopParameters(phi=phi, theta0=theta0, loss=loss)
@@ -194,6 +191,11 @@ class TestMeritReport:
         report = merit_report(LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10, alpha_mag=2.0))
         assert report.dphi_hd == pytest.approx(1.0 / (report.lambda1 * 2.0), rel=1e-12)
         assert report.dphi_qcrb == pytest.approx(1.0 / (report.lambda2 * 2.0), rel=1e-12)
+
+    def test_carries_the_closed_form_coefficients(self):
+        report = merit_report(REFERENCE)
+        coef = closed_form_coefficients(REFERENCE)
+        assert (report.upsilon, report.xi) == (coef.upsilon, coef.xi)
 
     def test_total_photons_sum_outputs(self):
         report = merit_report(REFERENCE)
@@ -222,7 +224,7 @@ class TestCarrierPhaseIndependence:
 
     def test_general_bound_ignores_carrier_phase(self):
         rotated = LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10, alpha_phase=1.2)
-        assert qcrb_general(rotated) == pytest.approx(qcrb_general(REFERENCE), rel=1e-9)
+        assert merit_report(rotated) == merit_report(REFERENCE)
 
 
 class TestPeriodicity:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,38 +6,50 @@ import pytest
 from hypothesis import given, strategies as st
 
 from recycled_mzi import (
-    ComplexCoefficient2x2,
     LoopParameters,
     ParameterError,
-    beam_splitter_matrix,
-    compose_mzi,
-    loss_transform,
+    closed_form,
+    closed_form_coefficients,
+    iterate_series,
+    loop_ratio,
     mzi_entries,
-    phase_matrix,
+    stages_for_tolerance,
 )
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
+# Reference route for the expanded entries: the balanced splitter, the
+# upper-arm phase shifter and the splitter again, multiplied out by numpy.
+BS = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
+
+
+def phase_shifter(phi):
+    return np.diag([cmath.exp(-1j * phi), 1.0])
+
+
+def mzi_product(phi):
+    return BS @ phase_shifter(phi) @ BS
+
+
+def mzi_matrix(phi):
+    s11, s12, s21, s22 = mzi_entries(phi)
+    return np.array([[s11, s12], [s21, s22]], dtype=complex)
+
 
 def test_beam_splitter_matrix_entries():
-    bs = beam_splitter_matrix()
     inv_sqrt2 = 1 / math.sqrt(2)
     expected = np.array([[inv_sqrt2, 1j * inv_sqrt2], [1j * inv_sqrt2, inv_sqrt2]])
-    np.testing.assert_allclose(bs.as_array(), expected, atol=1e-15)
+    np.testing.assert_allclose(BS, expected, atol=1e-15)
 
 
 def test_beam_splitter_is_unitary():
-    bs = beam_splitter_matrix()
-    product = bs.dagger() @ bs
-    np.testing.assert_allclose(product.as_array(), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(BS.conj().T @ BS, np.eye(2), atol=1e-12)
 
 
 def test_beam_splitter_squared_swaps_with_phase():
-    bs = beam_splitter_matrix()
     # (1/sqrt(2))^2 [[1+i^2, 2i], [2i, i^2+1]] = [[0, i], [i, 0]] by direct
-    # 2x2 multiplication.
-    np.testing.assert_allclose((bs @ bs).as_array(),
-                               np.array([[0, 1j], [1j, 0]]), atol=1e-15)
+    # 2x2 multiplication; with no phase shift the interferometer is bs @ bs.
+    np.testing.assert_allclose(mzi_matrix(0.0), np.array([[0, 1j], [1j, 0]]), atol=1e-15)
 
 
 @pytest.mark.parametrize("phi,expected", [
@@ -45,12 +58,14 @@ def test_beam_splitter_squared_swaps_with_phase():
     (math.pi / 2, np.diag([-1j, 1.0 + 0j])),
 ])
 def test_phase_matrix_special_angles(phi, expected):
-    np.testing.assert_allclose(phase_matrix(phi).as_array(), expected, atol=1e-12)
+    # The sign convention: only the upper arm picks up exp(-i*phi).
+    np.testing.assert_allclose(phase_shifter(phi), expected, atol=1e-12)
+    np.testing.assert_allclose(mzi_matrix(phi), BS @ expected @ BS, atol=1e-12)
 
 
 def test_phase_matrix_rejects_nonfinite():
     with pytest.raises(ParameterError):
-        phase_matrix(math.inf)
+        LoopParameters(phi=math.inf, theta0=0.0, loss=0.5)
 
 
 @pytest.mark.parametrize("phi,entries", [
@@ -59,23 +74,21 @@ def test_phase_matrix_rejects_nonfinite():
     (math.pi / 2, ((-1 - 1j) / 2, (1 + 1j) / 2, (1 + 1j) / 2, (1 + 1j) / 2)),
 ])
 def test_compose_mzi_special_angles(phi, entries):
-    mzi = compose_mzi(phi)
-    got = (mzi.s11, mzi.s12, mzi.s21, mzi.s22)
-    np.testing.assert_allclose(got, entries, atol=1e-12)
+    np.testing.assert_allclose(mzi_product(phi).ravel(), entries, atol=1e-12)
+    np.testing.assert_allclose(np.array(mzi_entries(phi)), entries, atol=1e-12)
 
 
 def test_compose_matches_expanded_entries_on_grid():
     phi = np.linspace(0.0, 2 * math.pi, 1000, endpoint=False)
     expanded = np.stack(mzi_entries(phi))
     for k, p in enumerate(phi):
-        mzi = compose_mzi(float(p))
-        product = np.array([mzi.s11, mzi.s12, mzi.s21, mzi.s22])
+        product = mzi_product(float(p)).ravel()
         assert np.max(np.abs(product - expanded[:, k])) < 1e-12
 
 
 def test_unitarity_on_grid():
     for p in np.linspace(0.0, 2 * math.pi, 1000, endpoint=False):
-        mzi = compose_mzi(float(p)).as_array()
+        mzi = mzi_matrix(float(p))
         assert np.max(np.abs(mzi.conj().T @ mzi - np.eye(2))) < 1e-12
         # Column norms of a unitary matrix are one.
         assert abs(abs(mzi[0, 0]) ** 2 + abs(mzi[1, 0]) ** 2 - 1) < 1e-12
@@ -84,7 +97,7 @@ def test_unitarity_on_grid():
 
 @given(phi=finite_angles)
 def test_unitarity_for_arbitrary_phase(phi):
-    mzi = compose_mzi(phi).as_array()
+    mzi = mzi_matrix(phi)
     assert np.max(np.abs(mzi.conj().T @ mzi - np.eye(2))) < 1e-12
 
 
@@ -92,39 +105,43 @@ def test_unitarity_for_arbitrary_phase(phi):
 # comparison tolerance (ulp of the shifted angle grows with |phi|).
 @given(phi=st.floats(min_value=-1000.0, max_value=1000.0))
 def test_periodicity(phi):
-    a = compose_mzi(phi).as_array()
-    b = compose_mzi(phi + 2 * math.pi).as_array()
-    assert np.max(np.abs(a - b)) < 1e-12
+    assert np.max(np.abs(mzi_matrix(phi) - mzi_matrix(phi + 2 * math.pi))) < 1e-12
 
+
+# The loss channel on the recycling arm passes sqrt(1-L) of the loop
+# amplitude and admits sqrt(L) of vacuum.
 
 def test_loss_transform_lossless_and_opaque():
-    assert loss_transform(1 + 0j, 0.0) == (1 + 0j, 0.0)
-    assert loss_transform(1 + 0j, 1.0) == (0j, 1.0)
+    lossless = closed_form_coefficients(LoopParameters(phi=1.0, theta0=0.5, loss=0.0))
+    assert lossless.vac_a == 0 and lossless.vac_b == 0
+    assert loop_ratio(1.0, 0.5, 1.0) == 0
+    opaque = closed_form_coefficients(LoopParameters(phi=1.0, theta0=0.5, loss=1.0))
+    assert abs(opaque.vac_a) == pytest.approx(abs(mzi_entries(1.0)[1]), abs=1e-15)
 
 
 def test_loss_transform_intermediate():
-    signal, vacuum = loss_transform(1 + 0j, 0.19)
-    assert signal == pytest.approx(0.9, abs=1e-12)
-    assert vacuum == pytest.approx(0.4358898943540674, abs=1e-12)
+    # At phi = pi the recirculated port maps onto itself (s22 = 1).
+    gamma = complex(loop_ratio(math.pi, 0.3, 0.19))
+    assert abs(gamma) == pytest.approx(0.9, abs=1e-12)
+    coef = closed_form_coefficients(LoopParameters(phi=math.pi, theta0=0.3, loss=0.19))
+    assert abs(coef.vac_b * (1 - gamma)) == pytest.approx(0.4358898943540674, abs=1e-12)
 
 
 @given(loss=st.floats(min_value=0.0, max_value=1.0))
 def test_loss_transform_preserves_power(loss):
-    signal, vacuum = loss_transform(1 + 0j, loss)
-    assert abs(signal) ** 2 + vacuum**2 == pytest.approx(1.0, abs=1e-12)
+    # The cascade's own vacuum bookkeeping keeps the monitored output a
+    # free mode.
+    params = LoopParameters(phi=1.0, theta0=0.5, loss=loss)
+    coef = iterate_series(params, stages_for_tolerance(params, 1e-15) + 1)
+    assert abs(coef.upsilon) ** 2 + abs(coef.vac_a) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("loss", [-0.1, 1.1, math.nan])
 def test_loss_transform_domain(loss):
     with pytest.raises(ParameterError):
-        loss_transform(1 + 0j, loss)
-
-
-def test_matrix_compose_matches_numpy():
-    a = ComplexCoefficient2x2(1 + 1j, 2.0, 0.5j, -1.0)
-    b = ComplexCoefficient2x2(0.5, -1j, 3.0, 2 - 1j)
-    np.testing.assert_allclose((a @ b).as_array(), a.as_array() @ b.as_array(),
-                               atol=1e-15)
+        LoopParameters(phi=0.0, theta0=0.0, loss=loss)
+    with pytest.raises(ParameterError):
+        closed_form(np.zeros(3), 0.0, np.array([0.5, loss, 0.5]))
 
 
 class TestLoopParameters:
@@ -139,6 +156,7 @@ class TestLoopParameters:
         {"phi": 0.0, "theta0": 0.0, "loss": -0.01},
         {"phi": 0.0, "theta0": 0.0, "loss": 1.01},
         {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": -1.0},
+        {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": 1e200},
     ])
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
