@@ -29,8 +29,11 @@ GOLDEN = {
         "976142111bde077c052a77613dedc27075e2848dd79fceaf4dd92058f66f79f4",
     "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60 --format json":
         "cf184505073782fc8e45097bc452a1fd862d6af721704e28da11f20a997b54b9",
+    # The two finite-difference lines changed when the derivative oracle
+    # became Richardson-extrapolated at step 1e-4 (3.015e-07 -> 5.059e-09,
+    # 8.286e-08 -> 2.731e-09); before that the digest was 3460da15...407e.
     "verify":
-        "3460da15cb679a9cc185cf6e574707ad403b43279a3048f3a86625ebbb33407e",
+        "eb0c5f9367c2e4edf3bbb8a847ead3ebddae0b122afff108a23a0bf8056f8c35",
 }
 
 

@@ -17,7 +17,11 @@ from recycled_mzi import (
     merit_report,
     photon_numbers,
 )
-from recycled_mzi.verification import finite_difference_factors, output_normalization
+from recycled_mzi.verification import (
+    DERIVATIVE_RTOL,
+    finite_difference_factors,
+    output_normalization,
+)
 
 REFERENCE = LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10)
 
@@ -97,6 +101,16 @@ class TestLambda1Numeric:
                         LoopParameters(phi=float(phi[i, 0]), theta0=float(theta0[0, j]),
                                        loss=loss), step)
                     assert numeric == pytest.approx(closed[i, j], rel=1e-6)
+
+    def test_default_step_near_sharp_ridge(self):
+        # Point (449, 25) of `verify --grid 1000` at L = 0.05, where lambda1
+        # is small and steep: a plain central difference at step 1e-6 is
+        # 1.4e-6 off there, over DERIVATIVE_RTOL.
+        axis = angle_grid(1000)
+        phi, theta0 = axis[449], axis[25]
+        closed = lambda1_values(phi, theta0, 0.05)
+        numeric = finite_difference_factors(phi, theta0, 0.05)[0]
+        assert abs(numeric - closed) / closed < DERIVATIVE_RTOL
 
     @pytest.mark.parametrize("step", [0.0, -1e-6, 2e-3])
     def test_step_domain(self, step):
