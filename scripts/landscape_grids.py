@@ -9,24 +9,18 @@ heatmaps.  Rerunning reproduces identical files.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from recycled_mzi import sweep
 from recycled_mzi.cli import sweep_csv
 
-
-@dataclass
-class Config:
-    metrics: tuple[str, ...] = ("lambda1", "lambda2", "lambda3")
-    losses: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20)
-    grid: int = 200
-    out_dir: Path = field(default_factory=lambda: Path("out"))
+METRICS = ("lambda1", "lambda2", "lambda3")
+LOSSES = (0.05, 0.10, 0.15, 0.20)
 
 
-def write_grid(config: Config, metric: str, loss: float) -> Path:
-    grid = sweep(metric, loss, config.grid, config.grid)
-    path = config.out_dir / f"{metric}_loss{loss:g}.csv"
+def write_grid(out_dir: Path, grid_n: int, metric: str, loss: float) -> Path:
+    grid = sweep(metric, loss, grid_n, grid_n)
+    path = out_dir / f"{metric}_loss{loss:g}.csv"
     path.write_text(sweep_csv(grid), encoding="utf-8")
     return path
 
@@ -37,11 +31,10 @@ def main() -> None:
     parser.add_argument("--grid", type=int, default=200)
     args = parser.parse_args()
 
-    config = Config(grid=args.grid, out_dir=args.out_dir)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for metric in config.metrics:
-        for loss in config.losses:
-            path = write_grid(config, metric, loss)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for metric in METRICS:
+        for loss in LOSSES:
+            path = write_grid(args.out_dir, args.grid, metric, loss)
             print(f"wrote {path}")
 
 

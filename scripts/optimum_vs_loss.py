@@ -10,22 +10,17 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from recycled_mzi import loss_curve
+from recycled_mzi.cli import _format_number
 
-
-@dataclass
-class Config:
-    loss_min: float = 0.02
-    loss_max: float = 0.5
-    samples: int = 25
-    grid_seed: int = 200
-    tol: float = 1e-8
-    out: Path = field(default_factory=lambda: Path("out/optimum_vs_loss.csv"))
+LOSS_MIN = 0.02
+LOSS_MAX = 0.5
+GRID_SEED = 200
+TOL = 1e-8
 
 
 def main() -> None:
@@ -34,22 +29,18 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("out/optimum_vs_loss.csv"))
     args = parser.parse_args()
 
-    config = Config(samples=args.samples, out=args.out)
-    losses = np.linspace(config.loss_min, config.loss_max, config.samples)
-    hd = loss_curve("lambda1", losses, grid_seed=config.grid_seed, tol=config.tol)
-    bound = loss_curve("lambda2", losses, grid_seed=config.grid_seed, tol=config.tol)
+    losses = np.linspace(LOSS_MIN, LOSS_MAX, args.samples)
+    hd = loss_curve("lambda1", losses, grid_seed=GRID_SEED, tol=TOL)
+    bound = loss_curve("lambda2", losses, grid_seed=GRID_SEED, tol=TOL)
 
     lines = ["loss,lambda1_max,phi_star_hd,theta0_star_hd,lambda2_max,phi_star_qcrb,theta0_star_qcrb"]
     for hd_record, bound_record in zip(hd, bound):
-        lines.append(
-            f"{hd_record.loss:.12g},{hd_record.lambda_max:.12g},"
-            f"{hd_record.phi_star:.12g},{hd_record.theta0_star:.12g},"
-            f"{bound_record.lambda_max:.12g},{bound_record.phi_star:.12g},"
-            f"{bound_record.theta0_star:.12g}"
-        )
-    config.out.parent.mkdir(parents=True, exist_ok=True)
-    config.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {config.out} ({config.samples} losses)")
+        lines.append(",".join(_format_number(value) for value in (
+            hd_record.loss, hd_record.lambda_max, hd_record.phi_star, hd_record.theta0_star,
+            bound_record.lambda_max, bound_record.phi_star, bound_record.theta0_star)))
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {args.out} ({args.samples} losses)")
 
 
 if __name__ == "__main__":

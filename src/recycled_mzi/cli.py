@@ -76,26 +76,12 @@ def _parse_losses(text: str) -> list[float]:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    params = LoopParameters(
-        phi=_radians(args.phi, args.degrees),
-        theta0=_radians(args.theta0, args.degrees),
-        loss=args.loss,
-        alpha_mag=args.alpha,
-        alpha_phase=_radians(args.alpha_phase, args.degrees),
-    )
-    report = merit_report(params)
-    payload = {
-        "lambda1": report.lambda1,
-        "lambda2": report.lambda2,
-        "lambda3": report.lambda3,
-        "dphi_hd": report.dphi_hd,
-        "dphi_qcrb": report.dphi_qcrb,
-        "n_a_out": report.n_a_out,
-        "n_b_out": report.n_b_out,
-        "n_total_inside": report.n_total_inside,
-        "upsilon": [report.upsilon.real, report.upsilon.imag],
-        "xi": [report.xi.real, report.xi.imag],
-    }
+    params = LoopParameters(phi=_radians(args.phi, args.degrees),
+                            theta0=_radians(args.theta0, args.degrees),
+                            loss=args.loss, alpha_mag=args.alpha)
+    # The MeritReport fields in order; complex coefficients as [re, im].
+    payload = {key: [value.real, value.imag] if isinstance(value, complex) else value
+               for key, value in dataclasses.asdict(merit_report(params)).items()}
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -120,55 +106,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# CSV columns of `optimize`, as keys of its JSON records; a success record
-# has no "error", a failure record only "loss", "metric_tag" and "error".
+# CSV columns of `optimize`: the OptimumRecord fields, then an error column
+# that is always empty, because a bad argument exits 2 with no output.
 OPTIMIZE_HEADER = "loss,metric,lambda_max,phi_star,theta0_star,evaluations,error"
-OPTIMIZE_KEYS = ("loss", "metric_tag", "lambda_max", "phi_star", "theta0_star",
-                 "evaluations", "error")
 
 
-def _csv_field(value) -> str:
-    if value is None:
-        return ""
-    return _format_number(value) if isinstance(value, float) else str(value)
-
-
-def _optimize_csv(rows: list[dict]) -> str:
+def _optimize_csv(records) -> str:
     lines = [OPTIMIZE_HEADER]
-    lines.extend(",".join(_csv_field(row.get(key)) for key in OPTIMIZE_KEYS) for row in rows)
+    lines.extend(",".join(_format_number(value) if isinstance(value, float) else str(value)
+                          for value in dataclasses.astuple(record)) + ","
+                 for record in records)
     return "\n".join(lines) + "\n"
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    losses = _parse_losses(args.losses)
-    for loss in losses:
-        if not 0.0 < loss <= 1.0:
-            raise ModelError(f"loss must lie in (0, 1], got {loss}")
-    rows = []
-    for loss in losses:
-        try:
-            (record,) = loss_curve(args.metric, [loss], grid_seed=args.grid_seed, tol=args.tol)
-            rows.append(dataclasses.asdict(record))
-        except ModelError as exc:
-            rows.append({"loss": loss, "metric_tag": args.metric,
-                         "error": str(exc).replace(",", ";")})
+    records = loss_curve(args.metric, _parse_losses(args.losses),
+                         grid_seed=args.grid_seed, tol=args.tol)
     if args.format == "json":
-        _write_text(json.dumps(rows, indent=2) + "\n", args.out)
+        text = json.dumps([dataclasses.asdict(record) for record in records], indent=2) + "\n"
     else:
-        _write_text(_optimize_csv(rows), args.out)
-    return EXIT_OK if any("error" not in row for row in rows) else EXIT_USAGE
+        text = _optimize_csv(records)
+    _write_text(text, args.out)
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    losses = _parse_losses(args.losses)
-    results = verification.run_all(
-        points=args.points,
-        seed=args.seed,
-        losses=losses,
-        stages=args.stages,
-        grid_n=args.grid,
-        step=args.step,
-    )
+    results = verification.run_all(points=args.points, seed=args.seed,
+                                   losses=_parse_losses(args.losses), grid_n=args.grid,
+                                   step=args.step)
     width = max(len(result.name) for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -197,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recycling-arm power loss fraction in [0, 1]")
     point.add_argument("--alpha", type=float, default=1.0,
                        help="coherent amplitude magnitude (default 1)")
-    point.add_argument("--alpha-phase", type=float, default=0.0,
-                       help="input carrier phase (default 0)")
     point.add_argument("--degrees", action="store_true",
                        help="interpret all angle flags as degrees")
     point.add_argument("--out", default=None, help="output path (default stdout)")
@@ -231,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--points", type=int, default=verification.DEFAULT_POINTS)
     verify.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
     verify.add_argument("--losses", default=",".join(str(l) for l in verification.DEFAULT_LOSSES))
-    verify.add_argument("--stages", type=int, default=None,
-                        help="force a fixed cascade stage count (default: per point)")
     verify.add_argument("--grid", type=int, default=verification.DEFAULT_GRID)
     verify.add_argument("--step", type=float, default=verification.DEFAULT_STEP)
     verify.set_defaults(handler=cmd_verify)

@@ -57,33 +57,23 @@ class OptimumRecord:
     evaluations: int
 
 
-def _metric_kernel(metric_tag: str):
-    try:
-        return METRICS[metric_tag]
-    except KeyError:
-        raise ParameterError(
-            f"unknown metric {metric_tag!r}; expected one of {sorted(METRICS)}"
-        ) from None
-
-
 def _check_loss(loss: float) -> None:
-    if not 0.0 < loss <= 1.0:
+    if isinstance(loss, (bool, np.bool_)) or not 0.0 < loss <= 1.0:
         raise ParameterError(f"loss must lie in (0, 1], got {loss}")
 
 
 def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
     """Evaluate a factor on an n_phi x n_theta0 grid over [0, 2*pi)^2."""
-    kernel = _metric_kernel(metric_tag)
+    if metric_tag not in METRICS:
+        raise ParameterError(f"unknown metric {metric_tag!r}; expected one of {sorted(METRICS)}")
     _check_loss(loss)
     if n_phi < 2 or n_theta0 < 2:
         raise ParameterError("grid needs at least 2 points per axis")
     if n_phi * n_theta0 > MAX_GRID_POINTS:
-        raise ParameterError(
-            f"grid of {n_phi}x{n_theta0} exceeds {MAX_GRID_POINTS} points"
-        )
+        raise ParameterError(f"grid of {n_phi}x{n_theta0} exceeds {MAX_GRID_POINTS} points")
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     theta0 = np.linspace(0.0, TWO_PI, n_theta0, endpoint=False)
-    values = kernel(phi[:, None], theta0[None, :], loss)
+    values = METRICS[metric_tag](phi[:, None], theta0[None, :], loss)
     return SweepGrid(phi_points=phi, theta0_points=theta0, loss=loss,
                      values=values, metric_tag=metric_tag)
 
@@ -92,24 +82,21 @@ def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
              tol: float = 1e-8) -> OptimumRecord:
     """Locate the maximum of a factor over (phi, theta0) at fixed loss.
 
-    Seeds a grid_seed x grid_seed coarse grid, then refines from the best
-    REFINE_SEEDS cells by compass search: probe one step along each axis,
-    move to the best strictly improving probe, halve the step otherwise,
-    stop below tol.  Angles stay unwrapped during the search (the factors
-    are exactly periodic) and are wrapped into [0, 2*pi) for reporting.
+    Seeds from the grid_seed x grid_seed `sweep`, whose checks and size cap
+    hold here too, then refines from the best REFINE_SEEDS cells by compass
+    search: probe one step along each axis, move to the best strictly
+    improving probe, halve the step otherwise, stop below tol.  Angles stay
+    unwrapped during the search (the factors are exactly periodic) and are
+    wrapped into [0, 2*pi) for reporting.
     """
-    kernel = _metric_kernel(metric_tag)
-    _check_loss(loss)
-    if grid_seed < 2:
-        raise ParameterError("grid_seed must be >= 2")
     if not 1e-10 <= tol <= 1e-2:
         raise ParameterError(f"tol must lie in [1e-10, 1e-2], got {tol}")
-
-    grid = np.linspace(0.0, TWO_PI, grid_seed, endpoint=False)
-    coarse = np.asarray(kernel(grid[:, None], grid[None, :], loss), dtype=float)
-    evaluations = grid_seed * grid_seed
+    grid = sweep(metric_tag, loss, grid_seed, grid_seed)
+    kernel = METRICS[metric_tag]
+    axis = grid.phi_points
+    evaluations = grid.values.size
     # Non-finite cells (unreachable for loss > 0) are skipped, not refined.
-    coarse = np.where(np.isfinite(coarse), coarse, -np.inf)
+    coarse = np.where(np.isfinite(grid.values), grid.values, -np.inf)
     # Stable row-major order makes equal cells rank lexicographically.
     seeds = np.argsort(-coarse.ravel(), kind="stable")[:REFINE_SEEDS]
 
@@ -117,7 +104,7 @@ def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
     step0 = TWO_PI / grid_seed
     for flat_index in seeds:
         i, j = divmod(int(flat_index), grid_seed)
-        x, y = float(grid[i]), float(grid[j])
+        x, y = float(axis[i]), float(axis[j])
         best = float(coarse[i, j])
         step = step0
         while step >= tol:
@@ -152,6 +139,13 @@ def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
 
 def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
                tol: float = 1e-8) -> list[OptimumRecord]:
-    """One located maximum per loss, in input order."""
+    """One located maximum per loss, in input order.
+
+    Every loss is checked before any is refined, so a bad one late in the
+    list costs no search.
+    """
+    losses = list(losses)
+    for loss in losses:
+        _check_loss(loss)
     return [maximize(metric_tag, loss, grid_seed=grid_seed, tol=tol)
             for loss in losses]

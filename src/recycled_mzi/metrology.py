@@ -17,7 +17,7 @@ independent route through the loop coefficients or finite differences,
 which lives in the verification suites.
 
 The local oscillator of the homodyne detector is referenced to the input
-carrier, so the input phase alpha_phase drops out of every factor.
+carrier, so the input carrier phase drops out of every factor.
 """
 
 from __future__ import annotations

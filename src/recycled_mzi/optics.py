@@ -9,7 +9,6 @@ convention, so it must not be changed in isolation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,31 +24,25 @@ class LoopParameters:
     phi and theta0 are phases in radians (any finite real; all derived
     quantities are 2*pi-periodic).  loss is the power fraction lost per
     round trip on the recycling arm.  alpha_mag is the coherent input
-    amplitude, so alpha_mag**2 is the mean input photon number; alpha_phase
-    is the input carrier phase, irrelevant for every figure of merit.
+    amplitude, so alpha_mag**2 is the mean input photon number.  The input
+    carrier phase is not a field: the homodyne local oscillator is
+    referenced to the carrier, so no figure of merit depends on it.
     """
 
     phi: float
     theta0: float
     loss: float
     alpha_mag: float = 1.0
-    alpha_phase: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.phi) and math.isfinite(self.theta0)):
             raise ParameterError("phi and theta0 must be finite")
-        if not math.isfinite(self.alpha_phase):
-            raise ParameterError("alpha_phase must be finite")
-        if not 0.0 <= self.loss <= 1.0:
+        if isinstance(self.loss, (bool, np.bool_)) or not 0.0 <= self.loss <= 1.0:
             raise ParameterError(f"loss must lie in [0, 1], got {self.loss}")
         # The photon numbers scale with alpha_mag**2, which must stay finite.
         if not (self.alpha_mag >= 0.0 and math.isfinite(self.alpha_mag * self.alpha_mag)):
             raise ParameterError(
                 f"alpha_mag must be >= 0 with a finite square, got {self.alpha_mag}")
-
-    @property
-    def alpha(self) -> complex:
-        return self.alpha_mag * cmath.exp(1j * self.alpha_phase)
 
 
 def mzi_entries(phi):

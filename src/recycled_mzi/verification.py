@@ -41,6 +41,13 @@ DERIVATIVE_RTOL = 1e-6
 PHOTON_SUM_RTOL = 1e-12
 SMALL_VALUE_FLOOR = 1e-3
 
+# Most (point, loss) pairs one suite of `run_all` may evaluate: exactly a
+# 1000x1000 derivative grid at the six default losses.  Peak memory grows
+# linearly with them, about 135 bytes each on the derivative grid and 310 on
+# the sampled points (numpy 2.4.6, x86-64), so a run at the cap peaks near
+# 0.8 GB or 1.9 GB respectively.
+MAX_POINT_LOSSES = 6 * 10**6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -128,12 +135,10 @@ def finite_difference_factors(phi, theta0, loss, step: float = DEFAULT_STEP):
     if not 0.0 < step <= 1e-3:
         raise ParameterError(f"step must lie in (0, 1e-3], got {step}")
     phi = np.asarray(phi)
-
-    def twice_slope(h):
-        return (closed_form(phi + h, theta0, loss).upsilon
-                - closed_form(phi - h, theta0, loss).upsilon) / h
-
-    slope = (4.0 * twice_slope(0.5 * step) - twice_slope(step)) / 3.0
+    # Twice the central-difference slope of upsilon at step/2 and at step.
+    half, full = ((closed_form(phi + h, theta0, loss).upsilon
+                   - closed_form(phi - h, theta0, loss).upsilon) / h for h in (0.5 * step, step))
+    slope = (4.0 * half - full) / 3.0
     return np.abs(slope.real), np.abs(slope)
 
 
@@ -185,15 +190,23 @@ def photon_factor_consistency(points: np.ndarray, losses=DEFAULT_LOSSES) -> Chec
 
 
 def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
-            losses=DEFAULT_LOSSES, stages: int | None = None,
-            grid_n: int = DEFAULT_GRID, step: float = DEFAULT_STEP) -> list[CheckResult]:
-    """Run every suite and return the individual results."""
-    pts = sample_points(points, seed)
+            losses=DEFAULT_LOSSES, grid_n: int = DEFAULT_GRID,
+            step: float = DEFAULT_STEP) -> list[CheckResult]:
+    """Run every suite and return the individual results.
+
+    Both suite sizes, points x losses and grid_n**2 x derivative losses,
+    are checked against MAX_POINT_LOSSES before anything is allocated.
+    """
     # The finite-difference comparisons need loss > 0 to stay clear of the
     # lossless resonance; fall back to the stock losses otherwise.
     derivative_losses = tuple(l for l in losses if l > 0.0) or DERIVATIVE_LOSSES
+    for what, count in ((f"{points} points", points * len(losses)),
+                        (f"{grid_n}x{grid_n} grid", grid_n**2 * len(derivative_losses))):
+        if count > MAX_POINT_LOSSES:
+            raise ParameterError(f"{what}: {count} point-losses exceed {MAX_POINT_LOSSES}")
+    pts = sample_points(points, seed)
     return [
-        oracle_equivalence(pts, losses, stages=stages),
+        oracle_equivalence(pts, losses),
         output_normalization(pts, losses),
         energy_balance(pts, losses),
         hd_factor_vs_derivative(grid_n, derivative_losses, step),

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from recycled_mzi import verification
 from recycled_mzi.cli import main
 
 
@@ -143,6 +144,7 @@ class TestOptimize:
         assert float(rows[0][2]) == pytest.approx(9.32, abs=0.05)
         assert float(rows[0][3]) == pytest.approx(2.5702, abs=1e-3)
         assert float(rows[0][4]) == pytest.approx(0.3524, abs=1e-3)
+        assert rows[0][6] == ""
 
     def test_decreasing_maxima(self, capsys):
         _, out, _ = run_cli(capsys, "optimize", "--metric", "lambda1",
@@ -184,10 +186,13 @@ class TestVerify:
         oracle_line = next(line for line in out.splitlines() if "oracle" in line)
         assert "PASS" in oracle_line
 
-    def test_single_stage_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--points", "100", "--stages", "1")
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        failing = verification.CheckResult("forced failure", 1.0, 1e-10)
+        monkeypatch.setattr(verification, "run_all", lambda **_: [failing])
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
+        assert out.endswith("verification FAILED\n")
 
     # Seeds whose points near phi = 0 exposed a cascade one pass short.
     @pytest.mark.parametrize("seed", [9, 12, 15, 33])
@@ -212,6 +217,16 @@ class TestVerify:
      "FileNotFoundError"),
     (("point", "--phi", "1", "--theta0", "0", "--loss", "0.1", "--alpha", "1e200"),
      "ParameterError"),
+    (("optimize", "--metric", "lambda1", "--losses", "0.1,0.2", "--grid-seed", "1"),
+     "ParameterError"),
+    (("optimize", "--metric", "lambda1", "--losses", "0.1", "--tol", "0.5", "--format", "json"),
+     "ParameterError"),
+    # A 74.5 GiB coarse grid: refused by the sweep size cap, not allocated.
+    (("optimize", "--metric", "lambda1", "--losses", "0.1", "--grid-seed", "100000"),
+     "ParameterError"),
+    # One past MAX_POINT_LOSSES at the six default losses.
+    (("verify", "--points", "1000001"), "ParameterError"),
+    (("verify", "--grid", "1001"), "ParameterError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

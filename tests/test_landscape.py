@@ -13,6 +13,7 @@ from recycled_mzi import (
     maximize,
     sweep,
 )
+from recycled_mzi import landscape
 
 TWO_PI = 2 * math.pi
 
@@ -115,10 +116,21 @@ class TestMaximize:
         {"metric_tag": "lambda1", "loss": 0.1, "tol": 1e-12},
         {"metric_tag": "lambda1", "loss": 0.1, "tol": 0.5},
         {"metric_tag": "nope", "loss": 0.1},
+        {"metric_tag": "lambda3", "loss": True},
+        {"metric_tag": "lambda3", "loss": np.True_},
+        {"metric_tag": "lambda1", "loss": 0.1, "grid_seed": 1},
+        # 10**10 coarse cells: refused by the sweep size cap.
+        {"metric_tag": "lambda1", "loss": 0.1, "grid_seed": 100000},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
             maximize(**kwargs)
+
+    def test_tol_checked_before_grid_is_built(self, monkeypatch):
+        monkeypatch.setattr(landscape, "sweep",
+                            lambda *_: pytest.fail("grid built before tol was checked"))
+        with pytest.raises(ParameterError, match="tol"):
+            maximize("lambda1", 0.1, tol=0.5)
 
 
 class TestLossCurve:
@@ -143,3 +155,9 @@ class TestLossCurve:
         records = loss_curve("lambda2", [0.20, 0.05])
         assert [r.loss for r in records] == [0.20, 0.05]
         assert records[1].lambda_max > records[0].lambda_max
+
+    def test_checks_every_loss_before_refining(self, monkeypatch):
+        monkeypatch.setattr(landscape, "maximize",
+                            lambda *_, **__: pytest.fail("refined before every loss was checked"))
+        with pytest.raises(ParameterError, match="got 1.5"):
+            loss_curve("lambda1", [0.1, 0.2, 1.5])

@@ -19,7 +19,7 @@ from recycled_mzi import (
     stages_for_tolerance,
 )
 from recycled_mzi.loop import STAGE_CAP
-from recycled_mzi.verification import oracle_equivalence
+from recycled_mzi.verification import oracle_equivalence, sample_points
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 losses_strategy = st.floats(min_value=0.01, max_value=1.0)
@@ -226,6 +226,10 @@ class TestSteadyStateInvariants:
         # asks for 3 passes; a cascade one pass short misses 1e-10.
         result = oracle_equivalence(np.array([[5e-5, 1.0]]), (0.5,))
         assert result.deviation < 1e-13
+
+    def test_single_stage_fails(self):
+        # One interferometer, no recycling: far from the steady state.
+        assert not oracle_equivalence(sample_points(100), stages=1).passed
 
     def test_normalization_and_energy_balance(self):
         for loss in ORACLE_LOSSES:

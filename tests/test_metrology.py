@@ -53,11 +53,11 @@ class TestHomodyneMoments:
             assert result.passed
 
     def test_mean_follows_coherent_amplitude(self):
-        params = LoopParameters(phi=0.9, theta0=5.0, loss=0.3, alpha_mag=2.0, alpha_phase=0.4)
+        params = LoopParameters(phi=0.9, theta0=5.0, loss=0.3, alpha_mag=2.0)
         coef = closed_form_coefficients(params)
         n_a, n_b, _ = photon_numbers(params)
-        assert n_a == pytest.approx(abs(coef.upsilon * params.alpha) ** 2, rel=1e-12)
-        assert n_b == pytest.approx(abs(coef.xi * params.alpha) ** 2, rel=1e-12)
+        assert n_a == pytest.approx(abs(coef.upsilon * params.alpha_mag) ** 2, rel=1e-12)
+        assert n_b == pytest.approx(abs(coef.xi * params.alpha_mag) ** 2, rel=1e-12)
 
 
 class TestLambda1:
@@ -224,21 +224,6 @@ class TestMeritReport:
         report = merit_report(LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10, alpha_mag=0.0))
         assert report.dphi_hd == math.inf
         assert report.dphi_qcrb == math.inf
-
-
-class TestCarrierPhaseIndependence:
-    @given(alpha_phase=st.floats(min_value=-math.pi, max_value=math.pi))
-    @settings(max_examples=50)
-    def test_factors_ignore_carrier_phase(self, alpha_phase):
-        rotated = LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10,
-                                 alpha_phase=alpha_phase)
-        assert lambda1(rotated) == lambda1(REFERENCE)
-        assert lambda2(rotated) == lambda2(REFERENCE)
-        assert lambda3(rotated) == lambda3(REFERENCE)
-
-    def test_general_bound_ignores_carrier_phase(self):
-        rotated = LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10, alpha_phase=1.2)
-        assert merit_report(rotated) == merit_report(REFERENCE)
 
 
 class TestPeriodicity:

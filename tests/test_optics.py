@@ -145,11 +145,6 @@ def test_loss_transform_domain(loss):
 
 
 class TestLoopParameters:
-    def test_alpha_combines_magnitude_and_phase(self):
-        params = LoopParameters(phi=0.1, theta0=0.2, loss=0.3, alpha_mag=2.0,
-                                alpha_phase=math.pi / 2)
-        assert params.alpha == pytest.approx(2j, abs=1e-15)
-
     @pytest.mark.parametrize("kwargs", [
         {"phi": math.nan, "theta0": 0.0, "loss": 0.5},
         {"phi": 0.0, "theta0": math.inf, "loss": 0.5},
@@ -157,6 +152,9 @@ class TestLoopParameters:
         {"phi": 0.0, "theta0": 0.0, "loss": 1.01},
         {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": -1.0},
         {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": 1e200},
+        # A flag is not a loss, though True == 1.
+        {"phi": 0.0, "theta0": 0.0, "loss": True},
+        {"phi": 0.0, "theta0": 0.0, "loss": np.True_},
     ])
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
