@@ -224,6 +224,10 @@ class TestVerify:
     # A 74.5 GiB coarse grid: refused by the sweep size cap, not allocated.
     (("optimize", "--metric", "lambda1", "--losses", "0.1", "--grid-seed", "100000"),
      "ParameterError"),
+    # One past MAX_GRID_POINTS = 2000**2.
+    (("optimize", "--metric", "lambda1", "--losses", "0.1", "--grid-seed", "2001"),
+     "ParameterError"),
+    (("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "2001"), "ParameterError"),
     # One past MAX_POINT_LOSSES at the six default losses.
     (("verify", "--points", "1000001"), "ParameterError"),
     (("verify", "--grid", "1001"), "ParameterError"),

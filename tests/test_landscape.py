@@ -14,8 +14,69 @@ from recycled_mzi import (
     sweep,
 )
 from recycled_mzi import landscape
+from recycled_mzi.landscape import OptimumRecord
+from recycled_mzi.metrology import METRICS
 
 TWO_PI = 2 * math.pi
+
+
+def scalar_compass_maximize(metric_tag, loss, grid_seed=200, tol=1e-8):
+    """`maximize` with one scalar kernel call per probe, one seed at a time.
+
+    The reference for the lockstep search: the same seeding, probes, moves,
+    step halving, tie window and wrapping, evaluated point by point.
+    """
+    grid = sweep(metric_tag, loss, grid_seed, grid_seed)
+    kernel = METRICS[metric_tag]
+    axis = grid.phi_points
+    evaluations = grid.values.size
+    coarse = np.where(np.isfinite(grid.values), grid.values, -np.inf)
+    seeds = np.argsort(-coarse.ravel(), kind="stable")[:landscape.REFINE_SEEDS]
+
+    candidates = []
+    step0 = TWO_PI / grid_seed
+    for flat_index in seeds:
+        i, j = divmod(int(flat_index), grid_seed)
+        x, y = float(axis[i]), float(axis[j])
+        best = float(coarse[i, j])
+        step = step0
+        while step >= tol:
+            probes = ((x + step, y), (x - step, y), (x, y + step), (x, y - step))
+            values = []
+            for px, py in probes:
+                value = float(kernel(px, py, loss))
+                evaluations += 1
+                if not math.isfinite(value):
+                    value = -math.inf
+                values.append(value)
+            move = max(range(4), key=values.__getitem__)
+            if values[move] > best:
+                x, y = probes[move]
+                best = values[move]
+            else:
+                step *= 0.5
+        candidates.append((best, x % TWO_PI, y % TWO_PI))
+
+    top = max(value for value, _, _ in candidates)
+    window = landscape.TIE_RTOL * max(1.0, abs(top))
+    tied = [c for c in candidates if c[0] >= top - window]
+    _, phi_star, theta0_star = min(tied, key=lambda c: (c[1], c[2]))
+    lambda_max = float(kernel(phi_star, theta0_star, loss))
+    evaluations += 1
+    return OptimumRecord(loss=loss, metric_tag=metric_tag, lambda_max=lambda_max,
+                         phi_star=phi_star, theta0_star=theta0_star,
+                         evaluations=evaluations)
+
+
+def max_bound_factor(loss):
+    """Measured maximum of lambda2: 1 + 1/L up to L = (sqrt(5) - 1)/2.
+
+    Above it the maximum sits at (phi, theta0) = (0, pi) and equals
+    (1 + sqrt(1 - L))**2; the two branches meet where sqrt(1 - L) = L.
+    """
+    if loss <= (math.sqrt(5.0) - 1.0) / 2.0:
+        return 1.0 + 1.0 / loss
+    return (1.0 + math.sqrt(1.0 - loss)) ** 2
 
 
 class TestSweep:
@@ -77,10 +138,14 @@ class TestMaximize:
         assert record.lambda_max == pytest.approx(1.0, abs=1e-12)
 
     def test_bound_factor_maximum_closed_form(self):
-        # The located maximum of the bound factor lands on 1 + 1/L.
-        for loss in (0.05, 0.10, 0.20, 0.4):
+        for loss in (0.01, 0.05, 0.10, 0.20, 0.5, 0.75, 1.0):
             record = maximize("lambda2", loss)
-            assert record.lambda_max == pytest.approx(1.0 + 1.0 / loss, rel=1e-8)
+            assert record.lambda_max == pytest.approx(max_bound_factor(loss), rel=1e-8)
+
+    def test_photon_factor_maximum_closed_form(self):
+        for loss in (0.01, 0.05, 0.10, 0.20, 0.5, 1.0):
+            record = maximize("lambda3", loss)
+            assert record.lambda_max == pytest.approx(1.0 / loss, rel=1e-8)
 
     def test_bit_identical_reruns(self):
         first = maximize("lambda1", 0.10)
@@ -131,6 +196,26 @@ class TestMaximize:
                             lambda *_: pytest.fail("grid built before tol was checked"))
         with pytest.raises(ParameterError, match="tol"):
             maximize("lambda1", 0.1, tol=0.5)
+
+
+# Every metric at tol 1e-3, and at tol 1e-8 where the scalar reference takes
+# well under a second: below L = 0.1 it needs seconds per case, and from a
+# 2x2 grid the lambda3 search crawls along a ridge for minutes.
+COMPASS_CASES = (
+    [(metric, loss, grid_seed, 1e-3) for metric in sorted(METRICS)
+     for loss in (0.01, 0.0123, 0.05, 0.1, 0.35, 1.0) for grid_seed in (2, 7, 60)]
+    + [(metric, loss, grid_seed, 1e-8) for metric in sorted(METRICS)
+       for loss in (0.1, 0.35, 1.0) for grid_seed in (7, 60)]
+    # A tol the halved step hits exactly: the search still takes that step.
+    + [(metric, 0.1, 7, TWO_PI / 7 / 2**7) for metric in sorted(METRICS)])
+
+
+class TestLockstepCompass:
+    # L = 1 makes the lambda2 landscape flat, so every probe ties.
+    @pytest.mark.parametrize("metric, loss, grid_seed, tol", COMPASS_CASES)
+    def test_matches_scalar_compass(self, metric, loss, grid_seed, tol):
+        assert (maximize(metric, loss, grid_seed=grid_seed, tol=tol)
+                == scalar_compass_maximize(metric, loss, grid_seed=grid_seed, tol=tol))
 
 
 class TestLossCurve:

@@ -75,6 +75,21 @@ class TestLambda1:
             assert lambda1(LoopParameters(phi=0.0, theta0=0.0, loss=loss)) == 0.0
 
 
+def test_scalar_and_array_kernel_calls_agree():
+    rng = np.random.default_rng(20261018)
+    phi, theta0 = rng.uniform(0.0, 2 * math.pi, (2, 3000))
+    loss = rng.uniform(0.01, 1.0, 3000)
+    for kernel in (lambda1_values, lambda2_values, lambda3_values):
+        array = kernel(phi, theta0, loss)
+        scalar = np.array([float(kernel(float(p), float(t), float(l)))
+                           for p, t, l in zip(phi, theta0, loss)])
+        if kernel is lambda1_values:
+            # pow() on a numpy scalar, a multiply on an array.
+            np.testing.assert_array_max_ulp(array, scalar, maxulp=2)
+        else:
+            np.testing.assert_array_equal(array, scalar)
+
+
 class TestLambda1Numeric:
     def test_reference_optimum(self):
         assert fd_lambda1(REFERENCE, step=1e-5) == pytest.approx(9.32, abs=1e-2)
