@@ -11,25 +11,13 @@ from .errors import (
     ResonantPoleError,
 )
 from .landscape import OptimumRecord, SweepGrid, loss_curve, maximize, sweep
-from .loop import (
-    RecycledCoefficients,
-    cascade,
-    closed_form,
-    closed_form_coefficients,
-    iterate_series,
-    loop_ratio,
-    stages_for_tolerance,
-)
+from .loop import RecycledCoefficients, cascade, closed_form
 from .metrology import (
     MeritReport,
-    lambda1,
     lambda1_values,
-    lambda2,
     lambda2_values,
-    lambda3,
     lambda3_values,
     merit_report,
-    photon_numbers,
 )
 from .optics import LoopParameters, mzi_entries
 
@@ -47,20 +35,12 @@ __all__ = [
     "SweepGrid",
     "cascade",
     "closed_form",
-    "closed_form_coefficients",
-    "iterate_series",
-    "lambda1",
     "lambda1_values",
-    "lambda2",
     "lambda2_values",
-    "lambda3",
     "lambda3_values",
-    "loop_ratio",
     "loss_curve",
     "maximize",
     "merit_report",
     "mzi_entries",
-    "photon_numbers",
-    "stages_for_tolerance",
     "sweep",
 ]

@@ -10,7 +10,8 @@ both broadcasting over (phi, theta0, loss): `closed_form` evaluates the
 summed series directly; `cascade` rebuilds the same coefficients by stepping
 through the equivalent cascade of single interferometers, one recycling pass
 per stage, and serves as an independent numerical oracle.
-`closed_form_coefficients` and `iterate_series` are their scalar wrappers.
+`closed_form_coefficients` and `iterate_series` evaluate them at one
+operating point.
 
 Vacuum bookkeeping: the cascade feeds vacuum into the first stage's unused
 port and through every loss splitter.  Vacuum modes are phase-insensitive
@@ -50,8 +51,8 @@ class RecycledCoefficients:
     The circulating output b is not a free mode, so no such sum rule
     constrains xi and vac_b; |xi| may exceed 1 when the loop resonates.
 
-    Fields are complex scalars from the scalar wrappers and complex arrays
-    from the array routes.
+    Fields are complex arrays from `closed_form` and `cascade` and complex
+    scalars from their one-point forms.
     """
 
     upsilon: complex
@@ -83,26 +84,17 @@ def loop_ratio(phi, theta0, loss):
     return _feedback(theta0, loss) * mzi_entries(phi)[3]
 
 
-def check_off_resonance(phi, theta0, loss, threshold: float = POLE_THRESHOLD):
-    """Return 1 - gamma, raising where the loop is at its lossless resonance.
-
-    Callers whose arithmetic degrades earlier than the coefficient formulas
-    (the trigonometric merit kernels square this denominator) pass a wider
-    threshold.
-    """
-    denom = 1.0 - loop_ratio(phi, theta0, loss)
-    _raise_where(np.abs(denom) < threshold, ResonantPoleError,
-                 "lossless loop resonance: no steady state", phi, theta0, loss)
-    return denom
-
-
 def closed_form(phi, theta0, loss, threshold: float = POLE_THRESHOLD) -> RecycledCoefficients:
     """Steady-state coefficients from the summed geometric series (broadcasts).
 
     Raises ResonantPoleError if any point lies within `threshold` of the
-    lossless pole.
+    lossless pole.  Callers whose arithmetic degrades earlier than the
+    coefficient formulas (the trigonometric merit kernels square the loop
+    denominator) pass a wider threshold.
     """
-    denom = check_off_resonance(phi, theta0, loss, threshold)
+    denom = 1.0 - loop_ratio(phi, theta0, loss)
+    _raise_where(np.abs(denom) < threshold, ResonantPoleError,
+                 "lossless loop resonance: no steady state", phi, theta0, loss)
     s11, s12, s21, s22 = mzi_entries(phi)
     feedback = _feedback(theta0, loss) / denom
     sqrt_loss = np.sqrt(loss)
@@ -131,8 +123,8 @@ def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
     passes = np.asarray(passes)
     outside = (passes < 0) | (passes > STAGE_CAP)
     if np.any(outside):
-        raise ParameterError(f"recycling passes must lie in [0, {STAGE_CAP}] (stages in "
-                             f"[1, {STAGE_CAP + 1}]), got {int(passes[outside].flat[0])}")
+        raise ParameterError(f"recycling passes must lie in [0, {STAGE_CAP}], "
+                             f"got {int(passes[outside].flat[0])}")
     s11, s12, s21, s22 = mzi_entries(phi)
     feedback = _feedback(theta0, loss)
     shape = np.broadcast_shapes(np.shape(phi), np.shape(theta0), np.shape(loss), passes.shape)
@@ -205,8 +197,3 @@ def iterate_series(params: LoopParameters, stages: int) -> RecycledCoefficients:
     """`cascade` of `stages` interferometers (stages - 1 recycling passes) at
     one operating point; stages=1 is the conventional interferometer."""
     return _scalar(cascade(params.phi, params.theta0, params.loss, stages - 1))
-
-
-def stages_for_tolerance(params: LoopParameters, tol: float) -> int:
-    """`passes_for_tolerance` at one operating point."""
-    return int(passes_for_tolerance(params.phi, params.theta0, params.loss, tol))

@@ -12,9 +12,10 @@ conventional interferometer fed by the same coherent state:
   interferometer in units of the input photon number |alpha|**2.
 
 Each factor has two implementations: a closed trigonometric form (the
-`lambda*` functions and their `*_values` vectorized kernels) and an
-independent route through the loop coefficients or finite differences,
-which lives in the verification suites.
+`*_values` kernels, broadcasting over (phi, theta0, loss); `merit_report`
+evaluates all three at one operating point) and an independent route through
+the loop coefficients or finite differences, which lives in the verification
+suites.
 
 The local oscillator of the homodyne detector is referenced to the input
 carrier, so the input carrier phase drops out of every factor.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loop import RecycledCoefficients, check_off_resonance, closed_form_coefficients
+from .loop import closed_form_coefficients
 from .optics import LoopParameters
 
 # The closed trigonometric kernels divide by the squared loop denominator,
@@ -71,16 +72,14 @@ def _trig_pieces(phi, theta0, loss):
 def lambda1_values(phi, theta0, loss):
     """Homodyne enhancement factor, broadcasting over all arguments.
 
-    A scalar call and an array call can differ by up to 2 ulp (in about
-    0.1 % of points): `half_denom_sq**2` calls pow() on a numpy scalar but
-    multiplies on an array.  The lambda2 and lambda3 kernels have no power
-    and agree exactly.
+    Zero (not an error) where the mean quadrature is stationary in phi.
     """
     trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
     loss = np.asarray(loss)
     bracket = ((2.0 - loss - 2.0 * trans * np.cos(theta0)) * np.sin(phi)
                - trans * (np.cos(phi) + 1.0) * np.sin(theta0))
-    return 4.0 * np.abs((trans * np.cos(theta0) - 1.0) * bracket) / half_denom_sq**2
+    signal = np.abs((trans * np.cos(theta0) - 1.0) * bracket)
+    return 4.0 * signal / (half_denom_sq * half_denom_sq)
 
 
 def lambda2_values(phi, theta0, loss):
@@ -100,47 +99,6 @@ def lambda3_values(phi, theta0, loss):
     return (2.0 * trans * theta_shift - 2.0 * np.asarray(loss) + 4.0) / half_denom_sq
 
 
-def _factor_at(kernel, params: LoopParameters) -> float:
-    check_off_resonance(params.phi, params.theta0, params.loss, KERNEL_POLE_THRESHOLD)
-    return float(kernel(params.phi, params.theta0, params.loss))
-
-
-def lambda1(params: LoopParameters) -> float:
-    """Homodyne enhancement factor at one operating point.
-
-    Zero (not an error) where the mean quadrature is stationary in phi;
-    the sensitivity there is reported as +inf by `merit_report`.
-    """
-    return _factor_at(lambda1_values, params)
-
-
-def lambda2(params: LoopParameters) -> float:
-    """Quantum Cramer-Rao enhancement factor at one operating point."""
-    return _factor_at(lambda2_values, params)
-
-
-def lambda3(params: LoopParameters) -> float:
-    """Circulating-photon enhancement factor at one operating point."""
-    return _factor_at(lambda3_values, params)
-
-
-def photon_numbers(params: LoopParameters) -> tuple[float, float, float]:
-    """Mean photon numbers (output a, output b, total inside).
-
-    Energy conservation across the lossless splitters makes the photon
-    number inside the interferometer equal to the sum of the two output
-    numbers, |upsilon*alpha|**2 + |xi*alpha|**2.
-    """
-    return _photon_numbers(closed_form_coefficients(params), params.alpha_mag)
-
-
-def _photon_numbers(coef: RecycledCoefficients, alpha_mag: float) -> tuple[float, float, float]:
-    n_input = alpha_mag**2
-    n_a = abs(coef.upsilon) ** 2 * n_input
-    n_b = abs(coef.xi) ** 2 * n_input
-    return n_a, n_b, n_a + n_b
-
-
 def merit_report(params: LoopParameters) -> MeritReport:
     """All figures of merit at one operating point.
 
@@ -150,7 +108,11 @@ def merit_report(params: LoopParameters) -> MeritReport:
     coef = closed_form_coefficients(params, KERNEL_POLE_THRESHOLD)
     l1, l2, l3 = (float(kernel(params.phi, params.theta0, params.loss))
                   for kernel in (lambda1_values, lambda2_values, lambda3_values))
-    n_a, n_b, n_total = _photon_numbers(coef, params.alpha_mag)
+    # Energy conservation across the lossless splitters makes the photon
+    # number inside the interferometer the sum of the two output numbers.
+    n_input = params.alpha_mag**2
+    n_a = abs(coef.upsilon) ** 2 * n_input
+    n_b = abs(coef.xi) ** 2 * n_input
     return MeritReport(
         lambda1=l1,
         lambda2=l2,
@@ -159,7 +121,7 @@ def merit_report(params: LoopParameters) -> MeritReport:
         dphi_qcrb=1.0 / (l2 * params.alpha_mag) if l2 * params.alpha_mag > 0.0 else math.inf,
         n_a_out=n_a,
         n_b_out=n_b,
-        n_total_inside=n_total,
+        n_total_inside=n_a + n_b,
         upsilon=coef.upsilon,
         xi=coef.xi,
     )

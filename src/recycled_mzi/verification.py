@@ -80,16 +80,18 @@ def _worst(deviation) -> float:
 
 
 def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES,
-                       stages: int | None = None,
+                       passes: int | None = None,
                        stage_tol: float = STAGE_TOL) -> CheckResult:
     """Iterated cascade versus summed closed form.
 
-    With stages=None each point makes the recycling passes that bring its
-    loop-ratio power under stage_tol; a fixed stage count can be forced to
-    demonstrate how a truncated cascade falls short of the steady state.
+    With passes=None each point makes the recycling passes that bring its
+    loop-ratio power under stage_tol; a fixed pass count can be forced to
+    demonstrate how a truncated cascade falls short of the steady state
+    (passes=0 is the conventional interferometer).
     """
     phi, theta0, loss = _at_losses(points, losses)
-    passes = passes_for_tolerance(phi, theta0, loss, stage_tol) if stages is None else stages - 1
+    if passes is None:
+        passes = passes_for_tolerance(phi, theta0, loss, stage_tol)
     iterated = cascade(phi, theta0, loss, passes)
     closed = closed_form(phi, theta0, loss)
     worst = max(

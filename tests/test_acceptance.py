@@ -14,14 +14,13 @@ import pytest
 
 from recycled_mzi import (
     LoopParameters,
+    cascade,
     closed_form,
-    closed_form_coefficients,
-    iterate_series,
     lambda1_values,
-    lambda2,
     lambda2_values,
     lambda3_values,
     loss_curve,
+    merit_report,
     sweep,
 )
 from recycled_mzi.cli import main
@@ -76,9 +75,8 @@ def test_criterion_2_conventional_limit():
         # Independent oracle: a single cascade stage is the conventional
         # interferometer, and the blocked loop must coincide with it.
         for p, t in [(0.3, 1.0), (2.0, 4.4), (5.1, 0.2), (3.9, 5.8)]:
-            params = LoopParameters(phi=p, theta0=t, loss=1.0)
-            single = iterate_series(params, 1)
-            closed = closed_form_coefficients(params)
+            single = cascade(p, t, 1.0, 0)
+            closed = closed_form(p, t, 1.0)
             assert single.upsilon == closed.upsilon
             assert single.xi == closed.xi
         assert time.perf_counter() - start < 1.0
@@ -124,7 +122,7 @@ def test_criterion_5_qcrb_consistency():
                 for j in range(0, 50, 7):
                     params = LoopParameters(phi=float(axis[i]), theta0=float(axis[j]),
                                             loss=loss)
-                    factor = lambda2(params)
+                    factor = merit_report(params).lambda2
                     if factor <= 1e-3:
                         continue
                     bound = 1.0 / float(finite_difference_factors(params.phi, params.theta0,

@@ -231,6 +231,10 @@ class TestVerify:
     # One past MAX_POINT_LOSSES at the six default losses.
     (("verify", "--points", "1000001"), "ParameterError"),
     (("verify", "--grid", "1001"), "ParameterError"),
+    # |1 - gamma| ~ 1e-7: outside the coefficients' pole guard, inside the
+    # kernels' wider one.
+    (("point", "--phi", "3.141592653589793", "--theta0", "1e-7", "--loss", "0"),
+     "ResonantPoleError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

@@ -6,11 +6,11 @@ import pytest
 from recycled_mzi import (
     LoopParameters,
     ParameterError,
-    lambda1,
     lambda1_values,
     lambda2_values,
     loss_curve,
     maximize,
+    merit_report,
     sweep,
 )
 from recycled_mzi import landscape
@@ -106,7 +106,7 @@ class TestSweep:
         grid = sweep("lambda1", 0.15, 11, 13)
         params = LoopParameters(phi=float(grid.phi_points[4]),
                                 theta0=float(grid.theta0_points[9]), loss=0.15)
-        assert grid.values[4, 9] == lambda1(params)
+        assert grid.values[4, 9] == merit_report(params).lambda1
 
     @pytest.mark.parametrize("kwargs", [
         {"metric_tag": "lambda9", "loss": 0.1, "n_phi": 10, "n_theta0": 10},

@@ -12,13 +12,9 @@ from recycled_mzi import (
     ResonantPoleError,
     cascade,
     closed_form,
-    closed_form_coefficients,
-    iterate_series,
-    loop_ratio,
     mzi_entries,
-    stages_for_tolerance,
 )
-from recycled_mzi.loop import STAGE_CAP
+from recycled_mzi.loop import STAGE_CAP, closed_form_coefficients, loop_ratio, passes_for_tolerance
 from recycled_mzi.verification import oracle_equivalence, sample_points
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
@@ -44,27 +40,27 @@ def test_loop_ratio_magnitude():
 class TestClosedForm:
     @pytest.mark.parametrize("phi,theta0", [(0.3, 1.1), (2.5, 0.0), (4.0, 5.9)])
     def test_blocked_loop_ignores_theta0(self, phi, theta0):
-        coef = closed_form_coefficients(LoopParameters(phi=phi, theta0=theta0, loss=1.0))
+        coef = closed_form(phi, theta0, 1.0)
         assert coef.upsilon == pytest.approx((cmath.exp(-1j * phi) - 1) / 2, abs=1e-14)
 
     def test_blocked_loop_at_zero_phase(self):
-        coef = closed_form_coefficients(LoopParameters(phi=0.0, theta0=0.0, loss=1.0))
+        coef = closed_form(0.0, 0.0, 1.0)
         assert coef.upsilon == pytest.approx(0.0, abs=1e-14)
         assert coef.xi == pytest.approx(1j, abs=1e-14)
         # With the loop blocked, a single stage already is the steady state.
-        single = iterate_series(LoopParameters(phi=0.0, theta0=0.0, loss=1.0), 1)
+        single = cascade(0.0, 0.0, 1.0, 0)
         assert single.upsilon == coef.upsilon
         assert single.xi == coef.xi
 
     def test_blocked_loop_equals_single_interferometer_exactly(self):
         for phi, theta0 in random_points(100, seed=7):
-            coef = closed_form_coefficients(LoopParameters(phi=phi, theta0=theta0, loss=1.0))
+            coef = closed_form(phi, theta0, 1.0)
             s11, _, s21, _ = mzi_entries(phi)
             assert abs(coef.upsilon - s11) < 1e-14
             assert abs(coef.xi - s21) < 1e-14
 
     def test_energy_balance_at_reference_optimum(self):
-        coef = closed_form_coefficients(LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10))
+        coef = closed_form(2.5702, 0.3524, 0.10)
         balance = abs(coef.upsilon) ** 2 + 0.10 * abs(coef.xi) ** 2
         assert balance == pytest.approx(1.0, abs=1e-12)
 
@@ -75,7 +71,7 @@ class TestClosedForm:
         # with t = sqrt(1-L), e0 = exp(i*theta0), ep = exp(i*phi).
         for phi, theta0 in random_points(200, seed=11):
             for loss in ORACLE_LOSSES:
-                coef = closed_form_coefficients(LoopParameters(phi=phi, theta0=theta0, loss=loss))
+                coef = closed_form(phi, theta0, loss)
                 t, e0, ep = math.sqrt(1 - loss), cmath.exp(1j * theta0), cmath.exp(1j * phi)
                 denom = 2 * ep * e0 + t * (1 - ep)
                 assert abs(coef.upsilon - (e0 * (1 - ep) - 2 * t) / denom) < 1e-12
@@ -101,46 +97,45 @@ class TestClosedForm:
 
     def test_lossless_resonance_rejected(self):
         with pytest.raises(ResonantPoleError):
-            closed_form_coefficients(LoopParameters(phi=math.pi, theta0=0.0, loss=0.0))
+            closed_form(math.pi, 0.0, 0.0)
 
     def test_lossless_off_resonance_allowed(self):
-        coef = closed_form_coefficients(LoopParameters(phi=math.pi, theta0=1.0, loss=0.0))
+        coef = closed_form(math.pi, 1.0, 0.0)
         assert abs(coef.upsilon) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIterateSeries:
+    """The `cascade` oracle; a cascade of m + 1 stages makes m passes."""
+
     def test_single_stage_is_conventional_interferometer(self):
-        for phi, theta0 in random_points(50, seed=5):
-            params = LoopParameters(phi=phi, theta0=theta0, loss=0.3)
-            coef = iterate_series(params, 1)
-            s11, s12, s21, s22 = mzi_entries(phi)
-            assert abs(coef.upsilon - s11) < 1e-15
-            assert abs(coef.xi - s21) < 1e-15
-            assert abs(coef.vac_a) == pytest.approx(abs(s12), abs=1e-15)
-            assert abs(coef.vac_b) == pytest.approx(abs(s22), abs=1e-15)
+        points = random_points(50, seed=5)
+        coef = cascade(points[:, 0], points[:, 1], 0.3, 0)
+        s11, s12, s21, s22 = mzi_entries(points[:, 0])
+        assert np.max(np.abs(coef.upsilon - s11)) < 1e-15
+        assert np.max(np.abs(coef.xi - s21)) < 1e-15
+        np.testing.assert_allclose(np.abs(coef.vac_a), np.abs(s12), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(coef.vac_b), np.abs(s22), rtol=0, atol=1e-15)
 
     def test_blocked_loop_makes_stages_irrelevant(self):
-        params = LoopParameters(phi=1.3, theta0=0.4, loss=1.0)
-        assert iterate_series(params, 5) == iterate_series(params, 1)
+        assert cascade(1.3, 0.4, 1.0, 4) == cascade(1.3, 0.4, 1.0, 0)
 
     def test_converges_to_closed_form(self):
-        for phi, theta0 in random_points(20, seed=13):
-            params = LoopParameters(phi=phi, theta0=theta0, loss=0.10)
-            stages = stages_for_tolerance(params, 1e-12)
-            iterated = iterate_series(params, stages)
-            closed = closed_form_coefficients(params)
-            assert abs(iterated.upsilon - closed.upsilon) < 1e-10
-            assert abs(iterated.xi - closed.xi) < 1e-10
-            assert abs(abs(iterated.vac_a) - abs(closed.vac_a)) < 1e-10
-            assert abs(abs(iterated.vac_b) - abs(closed.vac_b)) < 1e-10
+        points = random_points(20, seed=13)
+        phi, theta0 = points[:, 0], points[:, 1]
+        iterated = cascade(phi, theta0, 0.10, passes_for_tolerance(phi, theta0, 0.10, 1e-12))
+        closed = closed_form(phi, theta0, 0.10)
+        assert np.max(np.abs(iterated.upsilon - closed.upsilon)) < 1e-10
+        assert np.max(np.abs(iterated.xi - closed.xi)) < 1e-10
+        assert np.max(np.abs(np.abs(iterated.vac_a) - np.abs(closed.vac_a))) < 1e-10
+        assert np.max(np.abs(np.abs(iterated.vac_b) - np.abs(closed.vac_b))) < 1e-10
 
     def test_rejects_zero_stages(self):
-        with pytest.raises(ParameterError):
-            iterate_series(LoopParameters(phi=1.0, theta0=0.0, loss=0.5), 0)
+        with pytest.raises(ParameterError, match=r"\[0, 1000000\], got -1"):
+            cascade(1.0, 0.0, 0.5, -1)
 
     def test_rejects_stages_beyond_cap(self):
         with pytest.raises(ParameterError):
-            iterate_series(LoopParameters(phi=1.0, theta0=0.0, loss=0.5), STAGE_CAP + 2)
+            cascade(1.0, 0.0, 0.5, STAGE_CAP + 1)
 
     def test_lockstep_matches_point_by_point_recursion(self):
         # Every point of one array call carries its own pass count; the
@@ -167,24 +162,24 @@ class TestIterateSeries:
 
 
 class TestStagesForTolerance:
+    """`passes_for_tolerance`: the fewest recycling passes m with
+    |gamma|**m < tol, the count `cascade` takes."""
+
     def test_dead_loop_needs_one_stage(self):
-        assert stages_for_tolerance(LoopParameters(phi=1.0, theta0=0.0, loss=1.0), 1e-12) == 1
+        assert passes_for_tolerance(1.0, 0.0, 1.0, 1e-12) == 1
 
     # phi=pi makes |sin(phi/2)| = 1, so |gamma| = sqrt(1-L) exactly.
     def test_half_ratio(self):
-        params = LoopParameters(phi=math.pi, theta0=0.3, loss=0.75)
-        assert stages_for_tolerance(params, 1e-12) == 40
+        assert passes_for_tolerance(math.pi, 0.3, 0.75, 1e-12) == 40
 
     def test_nine_tenths_ratio(self):
-        params = LoopParameters(phi=math.pi, theta0=0.3, loss=0.19)
-        assert stages_for_tolerance(params, 1e-9) == 197
+        assert passes_for_tolerance(math.pi, 0.3, 0.19, 1e-9) == 197
 
     @given(phi=angles, theta0=angles, loss=st.floats(min_value=0.05, max_value=0.99),
            tol=st.floats(min_value=1e-14, max_value=1e-3))
     @settings(max_examples=200)
     def test_result_is_minimal(self, phi, theta0, loss, tol):
-        params = LoopParameters(phi=phi, theta0=theta0, loss=loss)
-        m = stages_for_tolerance(params, tol)
+        m = passes_for_tolerance(phi, theta0, loss, tol)
         gmag = abs(loop_ratio(phi, theta0, loss))
         assert gmag**m < tol
         if m > 1:
@@ -192,28 +187,31 @@ class TestStagesForTolerance:
 
     def test_brute_force_agreement(self):
         # Independent route: count multiplications directly.
-        for phi, theta0 in random_points(25, seed=17):
-            params = LoopParameters(phi=phi, theta0=theta0, loss=0.4)
+        points = random_points(25, seed=17)
+        counts = []
+        for phi, theta0 in points:
             gmag = abs(loop_ratio(phi, theta0, 0.4))
             power, count = 1.0, 0
             while power >= 1e-10:
                 power *= gmag
                 count += 1
-            assert stages_for_tolerance(params, 1e-10) == count
+            counts.append(count)
+        passes = passes_for_tolerance(points[:, 0], points[:, 1], 0.4, 1e-10)
+        np.testing.assert_array_equal(passes, counts)
 
     def test_noncontracting_loop_rejected(self):
         with pytest.raises(ConvergenceError):
-            stages_for_tolerance(LoopParameters(phi=math.pi, theta0=1.0, loss=0.0), 1e-9)
+            passes_for_tolerance(math.pi, 1.0, 0.0, 1e-9)
 
     def test_slowly_contracting_loop_rejected(self):
         # |gamma| = sqrt(1 - 1e-9) needs ~6.4e10 passes for 1e-14, far past
         # the cap: refused before any cascade is stepped.
         with pytest.raises(ConvergenceError, match="more than"):
-            stages_for_tolerance(LoopParameters(phi=math.pi, theta0=1.0, loss=1e-9), 1e-14)
+            passes_for_tolerance(math.pi, 1.0, 1e-9, 1e-14)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ParameterError):
-            stages_for_tolerance(LoopParameters(phi=1.0, theta0=0.0, loss=0.5), 0.0)
+            passes_for_tolerance(1.0, 0.0, 0.5, 0.0)
 
 
 class TestSteadyStateInvariants:
@@ -222,26 +220,26 @@ class TestSteadyStateInvariants:
         assert result.deviation < 1e-10
 
     def test_oracle_near_phi_zero(self):
-        # At phi = 5e-5 the loop ratio is ~1.8e-5, so stages_for_tolerance
+        # At phi = 5e-5 the loop ratio is ~1.8e-5, so passes_for_tolerance
         # asks for 3 passes; a cascade one pass short misses 1e-10.
         result = oracle_equivalence(np.array([[5e-5, 1.0]]), (0.5,))
         assert result.deviation < 1e-13
 
     def test_single_stage_fails(self):
         # One interferometer, no recycling: far from the steady state.
-        assert not oracle_equivalence(sample_points(100), stages=1).passed
+        assert not oracle_equivalence(sample_points(100), passes=0).passed
 
     def test_normalization_and_energy_balance(self):
-        for loss in ORACLE_LOSSES:
-            for phi, theta0 in random_points(200, seed=23):
-                coef = closed_form_coefficients(LoopParameters(phi=phi, theta0=theta0, loss=loss))
-                mode_norm = abs(coef.upsilon) ** 2 + abs(coef.vac_a) ** 2
-                energy = abs(coef.upsilon) ** 2 + loss * abs(coef.xi) ** 2
-                assert mode_norm == pytest.approx(1.0, abs=1e-12)
-                assert energy == pytest.approx(1.0, abs=1e-12)
+        points = random_points(200, seed=23)
+        loss = np.array(ORACLE_LOSSES)[:, None]
+        coef = closed_form(points[:, 0], points[:, 1], loss)
+        mode_norm = np.abs(coef.upsilon) ** 2 + np.abs(coef.vac_a) ** 2
+        energy = np.abs(coef.upsilon) ** 2 + loss * np.abs(coef.xi) ** 2
+        assert np.max(np.abs(mode_norm - 1.0)) < 1e-12
+        assert np.max(np.abs(energy - 1.0)) < 1e-12
 
     @given(phi=angles, theta0=angles, loss=losses_strategy)
     @settings(max_examples=200)
     def test_energy_balance_property(self, phi, theta0, loss):
-        coef = closed_form_coefficients(LoopParameters(phi=phi, theta0=theta0, loss=loss))
+        coef = closed_form(phi, theta0, loss)
         assert abs(coef.upsilon) ** 2 + loss * abs(coef.xi) ** 2 == pytest.approx(1.0, abs=1e-12)

@@ -5,16 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from recycled_mzi import (
-    LoopParameters,
-    ParameterError,
-    closed_form,
-    closed_form_coefficients,
-    iterate_series,
-    loop_ratio,
-    mzi_entries,
-    stages_for_tolerance,
-)
+from recycled_mzi import LoopParameters, ParameterError, cascade, closed_form, mzi_entries
+from recycled_mzi.loop import loop_ratio, passes_for_tolerance
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -112,10 +104,10 @@ def test_periodicity(phi):
 # amplitude and admits sqrt(L) of vacuum.
 
 def test_loss_transform_lossless_and_opaque():
-    lossless = closed_form_coefficients(LoopParameters(phi=1.0, theta0=0.5, loss=0.0))
+    lossless = closed_form(1.0, 0.5, 0.0)
     assert lossless.vac_a == 0 and lossless.vac_b == 0
     assert loop_ratio(1.0, 0.5, 1.0) == 0
-    opaque = closed_form_coefficients(LoopParameters(phi=1.0, theta0=0.5, loss=1.0))
+    opaque = closed_form(1.0, 0.5, 1.0)
     assert abs(opaque.vac_a) == pytest.approx(abs(mzi_entries(1.0)[1]), abs=1e-15)
 
 
@@ -123,7 +115,7 @@ def test_loss_transform_intermediate():
     # At phi = pi the recirculated port maps onto itself (s22 = 1).
     gamma = complex(loop_ratio(math.pi, 0.3, 0.19))
     assert abs(gamma) == pytest.approx(0.9, abs=1e-12)
-    coef = closed_form_coefficients(LoopParameters(phi=math.pi, theta0=0.3, loss=0.19))
+    coef = closed_form(math.pi, 0.3, 0.19)
     assert abs(coef.vac_b * (1 - gamma)) == pytest.approx(0.4358898943540674, abs=1e-12)
 
 
@@ -131,8 +123,7 @@ def test_loss_transform_intermediate():
 def test_loss_transform_preserves_power(loss):
     # The cascade's own vacuum bookkeeping keeps the monitored output a
     # free mode.
-    params = LoopParameters(phi=1.0, theta0=0.5, loss=loss)
-    coef = iterate_series(params, stages_for_tolerance(params, 1e-15) + 1)
+    coef = cascade(1.0, 0.5, loss, passes_for_tolerance(1.0, 0.5, loss, 1e-15))
     assert abs(coef.upsilon) ** 2 + abs(coef.vac_a) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
