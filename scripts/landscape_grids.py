@@ -21,7 +21,8 @@ LOSSES = (0.05, 0.10, 0.15, 0.20)
 def write_grid(out_dir: Path, grid_n: int, metric: str, loss: float) -> Path:
     grid = sweep(metric, loss, grid_n, grid_n)
     path = out_dir / f"{metric}_loss{loss:g}.csv"
-    path.write_text(sweep_csv(grid), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(sweep_csv(grid))
     return path
 
 

