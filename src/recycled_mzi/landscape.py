@@ -25,7 +25,7 @@ from .metrology import KERNEL_POLE_THRESHOLD, METRICS
 
 TWO_PI = 2.0 * math.pi
 
-# 2000 x 2000 cells: `sweep --n 2000 --out` takes ~3.5 s and peaks near
+# 2000 x 2000 cells: `sweep --n 2000 --out` takes ~4 s and peaks near
 # 121 MB RSS (2 vCPU).  The CSV is streamed row by row, so the peak is the
 # value grid and the kernel temporaries, not the 168 MB of text.
 MAX_GRID_POINTS = 4 * 10**6
