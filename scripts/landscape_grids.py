@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from recycled_mzi import sweep
-from recycled_mzi.cli import sweep_csv
+from recycled_mzi.cli import _write_chunks, sweep_csv
 
 METRICS = ("lambda1", "lambda2", "lambda3")
 LOSSES = (0.05, 0.10, 0.15, 0.20)
@@ -21,8 +21,7 @@ LOSSES = (0.05, 0.10, 0.15, 0.20)
 def write_grid(out_dir: Path, grid_n: int, metric: str, loss: float) -> Path:
     grid = sweep(metric, loss, grid_n, grid_n)
     path = out_dir / f"{metric}_loss{loss:g}.csv"
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(sweep_csv(grid))
+    _write_chunks(sweep_csv(grid), path)
     return path
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResonantPoleError
-from .loop import loop_ratio
-from .metrology import KERNEL_POLE_THRESHOLD, METRICS
+from .errors import ParameterError
+from .metrology import METRICS
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,14 +80,6 @@ def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
         raise ParameterError(f"grid of {n_phi}x{n_theta0} exceeds {MAX_GRID_POINTS} points")
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     theta0 = np.linspace(0.0, TWO_PI, n_theta0, endpoint=False)
-    # |1 - gamma| >= 1 - sqrt(1 - loss) everywhere, so only a loss this close
-    # to lossless can put a cell inside the kernels' pole guard, where they
-    # lose every digit (0/0 at phi = pi, theta0 = 0 on even grids).
-    if 1.0 - math.sqrt(1.0 - loss) < KERNEL_POLE_THRESHOLD:
-        near_pole = np.abs(1.0 - loop_ratio(phi[:, None], theta0[None, :], loss))
-        if near_pole.min() < KERNEL_POLE_THRESHOLD:
-            raise ResonantPoleError(f"grid has a cell within {KERNEL_POLE_THRESHOLD} of the "
-                                    f"lossless loop resonance at loss={loss}")
     values = METRICS[metric_tag](phi[:, None], theta0[None, :], loss)
     return SweepGrid(phi_points=phi, theta0_points=theta0, loss=loss,
                      values=values, metric_tag=metric_tag)

@@ -84,22 +84,20 @@ def loop_ratio(phi, theta0, loss):
     return _feedback(theta0, loss) * mzi_entries(phi)[3]
 
 
-def closed_form(phi, theta0, loss, threshold: float = POLE_THRESHOLD) -> RecycledCoefficients:
+def closed_form(phi, theta0, loss) -> RecycledCoefficients:
     """Steady-state coefficients from the summed geometric series (broadcasts).
 
-    Raises ResonantPoleError if any point lies within `threshold` of the
-    lossless pole.  Callers whose arithmetic degrades earlier than the
-    coefficient formulas (the trigonometric merit kernels square the loop
-    denominator) pass a wider threshold.
+    Raises ResonantPoleError if any point lies within POLE_THRESHOLD of the
+    lossless pole.
     """
-    denom = 1.0 - loop_ratio(phi, theta0, loss)
-    _raise_where(np.abs(denom) < threshold, ResonantPoleError,
-                 "lossless loop resonance: no steady state", phi, theta0, loss)
     s11, s12, s21, s22 = mzi_entries(phi)
-    feedback = _feedback(theta0, loss) / denom
+    feedback = _feedback(theta0, loss)
+    denom = 1.0 - feedback * s22
+    _raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
+                 "lossless loop resonance: no steady state", phi, theta0, loss)
     sqrt_loss = np.sqrt(loss)
     return RecycledCoefficients(
-        upsilon=s11 + s12 * s21 * feedback,
+        upsilon=s11 + s12 * s21 * (feedback / denom),
         vac_a=s12 * sqrt_loss / denom,
         xi=s21 / denom,
         vac_b=s22 * sqrt_loss / denom,
@@ -187,10 +185,9 @@ def _scalar(coef: RecycledCoefficients) -> RecycledCoefficients:
                                 complex(coef.xi), complex(coef.vac_b))
 
 
-def closed_form_coefficients(params: LoopParameters,
-                             threshold: float = POLE_THRESHOLD) -> RecycledCoefficients:
+def closed_form_coefficients(params: LoopParameters) -> RecycledCoefficients:
     """`closed_form` at one operating point."""
-    return _scalar(closed_form(params.phi, params.theta0, params.loss, threshold))
+    return _scalar(closed_form(params.phi, params.theta0, params.loss))
 
 
 def iterate_series(params: LoopParameters, stages: int) -> RecycledCoefficients:

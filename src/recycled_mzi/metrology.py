@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loop import closed_form_coefficients
+from .errors import ResonantPoleError
+from .loop import _raise_where, closed_form_coefficients
 from .optics import LoopParameters
 
 # The closed trigonometric kernels divide by the squared loop denominator,
 # which loses every significant double-precision digit well before the
-# coefficient formulas do; reject a wider neighborhood of the lossless
-# resonance for them.
+# coefficient formulas do; `_trig_pieces` rejects a wider neighborhood of the
+# lossless resonance for all three.
 KERNEL_POLE_THRESHOLD = 1e-6
 
 
@@ -61,12 +62,23 @@ class MeritReport:
 
 
 def _trig_pieces(phi, theta0, loss):
-    trans = np.sqrt(1.0 - np.asarray(loss))
+    """Pieces shared by the kernels: loss, sqrt(1-L), theta_shift, half_denom_sq.
+
+    Raises ResonantPoleError where |1 - gamma| < KERNEL_POLE_THRESHOLD.  The
+    minimum is checked first: the mask costs more, and only a hit needs it.
+    """
+    loss = np.asarray(loss)
+    trans_sq = 1.0 - loss
+    trans = np.sqrt(trans_sq)
     theta_shift = np.cos(np.asarray(theta0) + np.asarray(phi)) - np.cos(theta0)
-    # Half the squared modulus of the common loop denominator.
-    half_denom_sq = (2.0 * trans * theta_shift - (1.0 - np.asarray(loss)) * np.cos(phi)
-                     - np.asarray(loss) + 3.0)
-    return trans, theta_shift, half_denom_sq
+    # Half the squared modulus of the common loop denominator, 2*|1 - gamma|**2.
+    half_denom_sq = 2.0 * trans * theta_shift - trans_sq * np.cos(phi) - loss + 3.0
+    floor = 2.0 * KERNEL_POLE_THRESHOLD**2
+    if half_denom_sq.min(initial=np.inf) < floor:
+        _raise_where(half_denom_sq < floor, ResonantPoleError,
+                     f"|1 - gamma| < {KERNEL_POLE_THRESHOLD}, too near the lossless resonance",
+                     phi, theta0, loss)
+    return loss, trans, theta_shift, half_denom_sq
 
 
 def lambda1_values(phi, theta0, loss):
@@ -74,8 +86,7 @@ def lambda1_values(phi, theta0, loss):
 
     Zero (not an error) where the mean quadrature is stationary in phi.
     """
-    trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
-    loss = np.asarray(loss)
+    loss, trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
     bracket = ((2.0 - loss - 2.0 * trans * np.cos(theta0)) * np.sin(phi)
                - trans * (np.cos(phi) + 1.0) * np.sin(theta0))
     signal = np.abs((trans * np.cos(theta0) - 1.0) * bracket)
@@ -84,9 +95,8 @@ def lambda1_values(phi, theta0, loss):
 
 def lambda2_values(phi, theta0, loss):
     """Quantum Cramer-Rao enhancement factor, broadcasting."""
-    trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
-    return np.abs(2.0 * (2.0 - np.asarray(loss) - 2.0 * trans * np.cos(theta0))
-                  / half_denom_sq)
+    loss, trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
+    return np.abs(2.0 * (2.0 - loss - 2.0 * trans * np.cos(theta0)) / half_denom_sq)
 
 
 def lambda3_values(phi, theta0, loss):
@@ -95,19 +105,18 @@ def lambda3_values(phi, theta0, loss):
     Equals |upsilon|**2 + |xi|**2 and is >= 1 for every loss in (0, 1]:
     recycling can only add photons to the interferometer.
     """
-    trans, theta_shift, half_denom_sq = _trig_pieces(phi, theta0, loss)
-    return (2.0 * trans * theta_shift - 2.0 * np.asarray(loss) + 4.0) / half_denom_sq
+    loss, trans, theta_shift, half_denom_sq = _trig_pieces(phi, theta0, loss)
+    return (2.0 * trans * theta_shift - 2.0 * loss + 4.0) / half_denom_sq
 
 
 def merit_report(params: LoopParameters) -> MeritReport:
     """All figures of merit at one operating point.
 
-    The wider kernel threshold guards the whole report, so the resonance is
-    checked and the coefficients are built once.
+    The kernels' pole guard is the wider one, so they run first.
     """
-    coef = closed_form_coefficients(params, KERNEL_POLE_THRESHOLD)
     l1, l2, l3 = (float(kernel(params.phi, params.theta0, params.loss))
                   for kernel in (lambda1_values, lambda2_values, lambda3_values))
+    coef = closed_form_coefficients(params)
     # Energy conservation across the lossless splitters makes the photon
     # number inside the interferometer the sum of the two output numbers.
     n_input = params.alpha_mag**2

@@ -354,6 +354,8 @@ class TestVerify:
     # An even grid holds phi = pi, theta0 = 0, where the kernels give 0/0 at
     # so small a loss.
     (("sweep", "--metric", "lambda3", "--loss", "1e-12", "--n", "4"), "ResonantPoleError"),
+    # The derivative grid holds phi = pi, theta0 = 0 as well.
+    (("verify", "--losses", "1e-9", "--grid", "2", "--points", "1"), "ResonantPoleError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
