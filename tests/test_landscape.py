@@ -8,6 +8,7 @@ from recycled_mzi import (
     ParameterError,
     lambda1_values,
     lambda2_values,
+    lambda3_values,
     loss_curve,
     maximize,
     merit_report,
@@ -242,7 +243,112 @@ class TestLossCurve:
         assert records[1].lambda_max > records[0].lambda_max
 
     def test_checks_every_loss_before_refining(self, monkeypatch):
-        monkeypatch.setattr(landscape, "maximize",
-                            lambda *_, **__: pytest.fail("refined before every loss was checked"))
+        monkeypatch.setattr(landscape, "sweep",
+                            lambda *_, **__: pytest.fail("grid built before every loss was checked"))
         with pytest.raises(ParameterError, match="got 1.5"):
             loss_curve("lambda1", [0.1, 0.2, 1.5])
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": 0.5}, "tol"),
+        ({"metric_tag": "nope"}, "unknown metric"),
+        ({"grid_seed": 1}, "at least 2"),
+        ({"grid_seed": 100000}, "exceeds"),
+    ])
+    def test_checks_every_argument_before_any_grid(self, monkeypatch, kwargs, match):
+        monkeypatch.setattr(landscape, "sweep",
+                            lambda *_, **__: pytest.fail("grid built before the arguments were checked"))
+        with pytest.raises(ParameterError, match=match):
+            loss_curve(**{"metric_tag": "lambda1", "losses": [0.1, 0.2], **kwargs})
+
+    def test_empty_list(self):
+        assert loss_curve("lambda1", []) == []
+
+
+# Loss lists against one scalar search per loss.
+CURVE_CASES = [
+    # Unsorted, with a duplicate and with L = 1, where every lambda2 probe ties.
+    ([0.35, 0.01, 1.0, 0.0123, 0.01, 0.1], 7, 1e-3),
+    ([0.1, 1.0, 0.35, 0.1], 60, 1e-8),
+    # A 2 x 2 grid gives 4 seeds per loss, fewer than REFINE_SEEDS.
+    ([0.05, 1.0, 0.01], 2, 1e-3),
+    # The start step 2*pi/700 is already below tol: no iteration at all.
+    ([0.1, 0.01, 1.0], 700, 1e-2),
+    # A tol the halved step hits exactly.
+    ([1.0, 0.1, 0.35], 7, TWO_PI / 7 / 2**7),
+]
+
+
+class TestLockstepCurve:
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("losses, grid_seed, tol", CURVE_CASES,
+                             ids=["unsorted", "tol-1e-8", "grid-2", "no-iteration", "exact-tol"])
+    def test_matches_scalar_compass_per_loss(self, metric, losses, grid_seed, tol):
+        assert (loss_curve(metric, losses, grid_seed=grid_seed, tol=tol)
+                == [scalar_compass_maximize(metric, loss, grid_seed=grid_seed, tol=tol)
+                    for loss in losses])
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_kernel_work_follows_the_slowest_loss(self, monkeypatch, metric):
+        kernel = METRICS[metric]
+        points = []
+
+        def counted(phi, theta0, loss):
+            points.append(np.broadcast(phi, theta0, loss).size)
+            return kernel(phi, theta0, loss)
+
+        monkeypatch.setitem(METRICS, metric, counted)
+
+        def run(losses):
+            points.clear()
+            records = loss_curve(metric, losses, grid_seed=20, tol=1e-6)
+            return records, len(points), sum(points)
+
+        losses = [0.2, 0.05, 0.5, 0.05, 0.1]
+        alone = [run([loss]) for loss in losses]
+        records, calls, total = run(losses)
+        assert records == [one for (one,), _, _ in alone]
+        # One call per seed grid, one per final re-evaluation, and one per
+        # iteration of the longest search: a loss alone makes 2 + its own.
+        iterations = [one_calls - 2 for _, one_calls, _ in alone]
+        assert calls == 2 * len(losses) + max(iterations)
+        assert calls < sum(one_calls for _, one_calls, _ in alone)
+        # No probe of a retired seed is evaluated.
+        assert total == sum(record.evaluations for record in records)
+        assert all(one_total == one.evaluations for (one,), _, one_total in alone)
+
+
+def lambda3_argmax(loss):
+    """Closed-form maximizer of lambda3, where it equals 1/L.
+
+    The factored lambda3 = 1 + t**2*cos(phi/2)**2 / (1 - 2*t*s*sin(psi) + t**2*s**2),
+    with t = sqrt(1 - L), s = sin(phi/2) and psi = theta0 + phi/2, peaks at
+    sin(psi) = 1 and s = t.
+    """
+    phi = 2.0 * math.asin(math.sqrt(1.0 - loss))
+    return phi, math.pi / 2 - phi / 2
+
+
+def wrapped_distance(a, b):
+    gap = (a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
+class TestPhotonFactorArgmax:
+    def test_oracle_reaches_inverse_loss(self):
+        for loss in np.linspace(0.01, 1.0, 199):
+            phi, theta0 = lambda3_argmax(loss)
+            assert float(lambda3_values(phi, theta0, loss)) * loss == pytest.approx(1.0, abs=1e-10)
+
+    def test_maximize_lands_on_oracle_or_its_twin(self):
+        # The maximum sits on a ridge diagonal to the compass axes, so the
+        # located maximizer drifts along it as the loss falls.  Measured
+        # distances (rad): 7.0e-6 at L = 0.01, 8.9e-7 at 0.05, 5.1e-7 at 0.1,
+        # 4.7e-8 at 0.35, 3.2e-9 at 0.9.  At L = 1 the landscape is flat.
+        tolerances = {0.01: 1e-5, 0.05: 2e-6, 0.1: 1e-6, 0.35: 1e-7, 0.9: 1e-8}
+        records = loss_curve("lambda3", list(tolerances))
+        for record, (loss, tolerance) in zip(records, tolerances.items()):
+            phi, theta0 = lambda3_argmax(loss)
+            distance = min(
+                max(wrapped_distance(record.phi_star, p), wrapped_distance(record.theta0_star, t))
+                for p, t in ((phi, theta0), (TWO_PI - phi, TWO_PI - theta0)))
+            assert distance < tolerance, (loss, distance)

@@ -251,6 +251,18 @@ class TestMeritReport:
                     kernel(*inside)
             assert np.isfinite(kernel(math.pi, 2e-6, 0.0))
 
+    def test_kernels_finite_just_outside_pole_guard(self):
+        # The search masks no non-finite values: for loss in (0, 1] every
+        # point a kernel accepts must give a finite value.  At L = 1e-9 the
+        # kernels would give 0/0 at the pole itself.
+        offsets = np.linspace(-4.0 * KERNEL_POLE_THRESHOLD, 4.0 * KERNEL_POLE_THRESHOLD, 161)
+        phi, theta0 = np.broadcast_arrays(math.pi + offsets[:, None], offsets[None, :])
+        gap = np.abs(1.0 - loop_ratio(phi, theta0, 1e-9))
+        band = (gap > 1.01 * KERNEL_POLE_THRESHOLD) & (gap < 2.0 * KERNEL_POLE_THRESHOLD)
+        assert np.count_nonzero(band) > 100
+        for kernel in (lambda1_values, lambda2_values, lambda3_values):
+            assert np.isfinite(kernel(phi[band], theta0[band], 1e-9)).all()
+
 
 class TestPeriodicity:
     @given(phi=angles, theta0=angles)
