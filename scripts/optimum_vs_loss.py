@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from recycled_mzi import loss_curve
-from recycled_mzi.cli import _format_number
+from recycled_mzi.cli import _format_number, _write_chunks
 
 LOSS_MIN = 0.02
 LOSS_MAX = 0.5
@@ -39,7 +39,7 @@ def main() -> None:
             hd_record.loss, hd_record.lambda_max, hd_record.phi_star, hd_record.theta0_star,
             bound_record.lambda_max, bound_record.phi_star, bound_record.theta0_star)))
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_chunks(("\n".join(lines) + "\n",), args.out)
     print(f"wrote {args.out} ({args.samples} losses)")
 
 

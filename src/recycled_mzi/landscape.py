@@ -51,9 +51,7 @@ class SweepGrid:
 
     phi_points: np.ndarray
     theta0_points: np.ndarray
-    loss: float
     values: np.ndarray
-    metric_tag: str
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,7 @@ def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     theta0 = np.linspace(0.0, TWO_PI, n_theta0, endpoint=False)
     values = METRICS[metric_tag](phi[:, None], theta0[None, :], loss)
-    return SweepGrid(phi_points=phi, theta0_points=theta0, loss=loss,
-                     values=values, metric_tag=metric_tag)
+    return SweepGrid(phi_points=phi, theta0_points=theta0, values=values)
 
 
 def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
@@ -144,13 +141,13 @@ def _compass(kernel, pos, best, row_loss, step0, tol):
             pos = pos[:, keep]
             active, best, step, row_loss = (part[keep] for part in (active, best, step, row_loss))
             offsets = 4 * np.arange(active.size)
-            # A scalar loss broadcasts more cheaply than a column of equal ones.
-            loss_arg = (row_loss[0] if (row_loss == row_loss[0]).all()
-                        else row_loss[:, None])
+            # One loss per probe: operands of one shape keep numpy's ufuncs
+            # off the slower broadcasting path a (rows, 1) column takes.
+            probe_loss = np.repeat(row_loss[:, None], 4, axis=1)
         iteration += 1
         # Adding step * (+-1 or 0) is exact, so the probes are pos +- step.
         probes = pos[:, :, None] + step[:, None] * COMPASS
-        values = kernel(probes[0], probes[1], loss_arg)
+        values = kernel(probes[0], probes[1], probe_loss)
         # argmax takes the first of equal probes.
         pick = values.argmax(axis=1) + offsets
         gain = values.take(pick)

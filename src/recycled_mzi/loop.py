@@ -10,8 +10,6 @@ both broadcasting over (phi, theta0, loss): `closed_form` evaluates the
 summed series directly; `cascade` rebuilds the same coefficients by stepping
 through the equivalent cascade of single interferometers, one recycling pass
 per stage, and serves as an independent numerical oracle.
-`closed_form_coefficients` and `iterate_series` evaluate them at one
-operating point.
 
 Vacuum bookkeeping: the cascade feeds vacuum into the first stage's unused
 port and through every loss splitter.  Vacuum modes are phase-insensitive
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ResonantPoleError
-from .optics import LoopParameters, mzi_entries
+from .optics import mzi_entries
 
 # Below this loop-denominator magnitude the steady state is numerically
 # meaningless; reachable only at L = 0 with phi = pi, theta0 = 0 (mod 2*pi).
@@ -51,8 +49,8 @@ class RecycledCoefficients:
     The circulating output b is not a free mode, so no such sum rule
     constrains xi and vac_b; |xi| may exceed 1 when the loop resonates.
 
-    Fields are complex arrays from `closed_form` and `cascade` and complex
-    scalars from their one-point forms.
+    Fields are complex arrays, shaped as the broadcast arguments of
+    `closed_form` or `cascade`.
     """
 
     upsilon: complex
@@ -178,19 +176,3 @@ def passes_for_tolerance(phi, theta0, loss, tol: float):
                  f"the cascade needs more than {STAGE_CAP} passes to reach tol={tol}",
                  phi, theta0, loss)
     return m
-
-
-def _scalar(coef: RecycledCoefficients) -> RecycledCoefficients:
-    return RecycledCoefficients(complex(coef.upsilon), complex(coef.vac_a),
-                                complex(coef.xi), complex(coef.vac_b))
-
-
-def closed_form_coefficients(params: LoopParameters) -> RecycledCoefficients:
-    """`closed_form` at one operating point."""
-    return _scalar(closed_form(params.phi, params.theta0, params.loss))
-
-
-def iterate_series(params: LoopParameters, stages: int) -> RecycledCoefficients:
-    """`cascade` of `stages` interferometers (stages - 1 recycling passes) at
-    one operating point; stages=1 is the conventional interferometer."""
-    return _scalar(cascade(params.phi, params.theta0, params.loss, stages - 1))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantPoleError
-from .loop import _raise_where, closed_form_coefficients
+from .loop import _raise_where, closed_form
 from .optics import LoopParameters
 
 # The closed trigonometric kernels divide by the squared loop denominator,
@@ -116,12 +116,13 @@ def merit_report(params: LoopParameters) -> MeritReport:
     """
     l1, l2, l3 = (float(kernel(params.phi, params.theta0, params.loss))
                   for kernel in (lambda1_values, lambda2_values, lambda3_values))
-    coef = closed_form_coefficients(params)
+    coef = closed_form(params.phi, params.theta0, params.loss)
+    upsilon, xi = complex(coef.upsilon), complex(coef.xi)
     # Energy conservation across the lossless splitters makes the photon
     # number inside the interferometer the sum of the two output numbers.
     n_input = params.alpha_mag**2
-    n_a = abs(coef.upsilon) ** 2 * n_input
-    n_b = abs(coef.xi) ** 2 * n_input
+    n_a = abs(upsilon) ** 2 * n_input
+    n_b = abs(xi) ** 2 * n_input
     return MeritReport(
         lambda1=l1,
         lambda2=l2,
@@ -131,8 +132,8 @@ def merit_report(params: LoopParameters) -> MeritReport:
         n_a_out=n_a,
         n_b_out=n_b,
         n_total_inside=n_a + n_b,
-        upsilon=coef.upsilon,
-        xi=coef.xi,
+        upsilon=upsilon,
+        xi=xi,
     )
 
 

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .loop import cascade, closed_form, passes_for_tolerance
-# Unused here; the per-layer tracer (bench/tracing.py) looks these names up
-# in this module.
-from .loop import closed_form_coefficients, iterate_series  # noqa: F401
+from .loop import RecycledCoefficients, cascade, closed_form, passes_for_tolerance
 from .metrology import lambda1_values, lambda2_values, lambda3_values
+from .optics import LoopParameters
 
 DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
@@ -70,6 +68,25 @@ def sample_points(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED) -> np.
     return rng.uniform(0.0, 2.0 * np.pi, size=(points, 2))
 
 
+# One-point forms of the two coefficient routes.  Only tests and the
+# per-layer tracer (bench/tracing.py, which looks both names up in this
+# module) use them.
+def _one_point(coef: RecycledCoefficients) -> RecycledCoefficients:
+    return RecycledCoefficients(complex(coef.upsilon), complex(coef.vac_a),
+                                complex(coef.xi), complex(coef.vac_b))
+
+
+def closed_form_coefficients(params: LoopParameters) -> RecycledCoefficients:
+    """`closed_form` at one operating point."""
+    return _one_point(closed_form(params.phi, params.theta0, params.loss))
+
+
+def iterate_series(params: LoopParameters, stages: int) -> RecycledCoefficients:
+    """`cascade` of `stages` interferometers (stages - 1 recycling passes) at
+    one operating point; stages=1 is the conventional interferometer."""
+    return _one_point(cascade(params.phi, params.theta0, params.loss, stages - 1))
+
+
 def _at_losses(points: np.ndarray, losses):
     """(phi, theta0, loss) broadcasting every point against every loss."""
     return points[:, 0], points[:, 1], np.asarray(losses, dtype=float)[:, None]
@@ -79,19 +96,14 @@ def _worst(deviation) -> float:
     return float(np.max(np.abs(deviation), initial=0.0))
 
 
-def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES,
-                       passes: int | None = None,
-                       stage_tol: float = STAGE_TOL) -> CheckResult:
+def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
     """Iterated cascade versus summed closed form.
 
-    With passes=None each point makes the recycling passes that bring its
-    loop-ratio power under stage_tol; a fixed pass count can be forced to
-    demonstrate how a truncated cascade falls short of the steady state
-    (passes=0 is the conventional interferometer).
+    Each point makes the recycling passes that bring its loop-ratio power
+    under STAGE_TOL.
     """
     phi, theta0, loss = _at_losses(points, losses)
-    if passes is None:
-        passes = passes_for_tolerance(phi, theta0, loss, stage_tol)
+    passes = passes_for_tolerance(phi, theta0, loss, STAGE_TOL)
     iterated = cascade(phi, theta0, loss, passes)
     closed = closed_form(phi, theta0, loss)
     worst = max(

@@ -85,7 +85,7 @@ def test_criterion_2_conventional_limit():
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "iterated cascade matches closed form"):
         start = time.perf_counter()
-        result = oracle_equivalence(sample_points(1000, seed=0), ORACLE_LOSSES, stage_tol=1e-14)
+        result = oracle_equivalence(sample_points(1000, seed=0), ORACLE_LOSSES)
         elapsed = time.perf_counter() - start
         assert result.deviation < 1e-10
         assert elapsed < 5.0

@@ -356,6 +356,10 @@ class TestVerify:
     (("sweep", "--metric", "lambda3", "--loss", "1e-12", "--n", "4"), "ResonantPoleError"),
     # The derivative grid holds phi = pi, theta0 = 0 as well.
     (("verify", "--losses", "1e-9", "--grid", "2", "--points", "1"), "ResonantPoleError"),
+    (("verify", "--seed", "-1"), "ParameterError"),
+    (("optimize", "--metric", "lambda1", "--losses", "0.1,abc"), "ModelError"),
+    # Every factor of the 2x2 derivative grid sits below SMALL_VALUE_FLOOR.
+    (("verify", "--losses", "0.5", "--grid", "2", "--points", "1"), "ParameterError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

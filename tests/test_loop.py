@@ -13,9 +13,10 @@ from recycled_mzi import (
     cascade,
     closed_form,
     mzi_entries,
+    verification,
 )
-from recycled_mzi.loop import STAGE_CAP, closed_form_coefficients, loop_ratio, passes_for_tolerance
-from recycled_mzi.verification import oracle_equivalence, sample_points
+from recycled_mzi.loop import STAGE_CAP, loop_ratio, passes_for_tolerance
+from recycled_mzi.verification import closed_form_coefficients, oracle_equivalence, sample_points
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
 losses_strategy = st.floats(min_value=0.01, max_value=1.0)
@@ -175,6 +176,22 @@ class TestStagesForTolerance:
     def test_nine_tenths_ratio(self):
         assert passes_for_tolerance(math.pi, 0.3, 0.19, 1e-9) == 197
 
+    # |gamma| = 0.5 exactly, so the log estimate k of tol = 0.5**k is one
+    # pass short: 0.5**k < tol fails, and the correction adds a pass.
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_log_estimate_one_pass_short(self, k):
+        assert passes_for_tolerance(math.pi, 0.0, 0.75, 0.5**k) == k + 1
+
+    # Found by a seeded search: tol lies one ulp above |gamma|**20, yet the
+    # rounded log estimate is 21, so the correction removes a pass.
+    def test_log_estimate_one_pass_long(self):
+        phi, theta0, loss = 0.4540560545967532, 3.141421899600922, 0.7466565044898218
+        tol = 1.213232935752659e-19
+        gmag = abs(loop_ratio(phi, theta0, loss))
+        assert np.ceil(np.log(tol) / np.log(gmag)) == 21
+        assert gmag**20 < tol <= gmag**19
+        assert passes_for_tolerance(phi, theta0, loss, tol) == 20
+
     @given(phi=angles, theta0=angles, loss=st.floats(min_value=0.05, max_value=0.99),
            tol=st.floats(min_value=1e-14, max_value=1e-3))
     @settings(max_examples=200)
@@ -225,9 +242,11 @@ class TestSteadyStateInvariants:
         result = oracle_equivalence(np.array([[5e-5, 1.0]]), (0.5,))
         assert result.deviation < 1e-13
 
-    def test_single_stage_fails(self):
-        # One interferometer, no recycling: far from the steady state.
-        assert not oracle_equivalence(sample_points(100), passes=0).passed
+    def test_single_stage_fails(self, monkeypatch):
+        # One interferometer, no recycling: far from the steady state.  The
+        # suite must catch a cascade truncated to no passes at all.
+        monkeypatch.setattr(verification, "passes_for_tolerance", lambda *args: 0)
+        assert not oracle_equivalence(sample_points(100)).passed
 
     def test_normalization_and_energy_balance(self):
         points = random_points(200, seed=23)

@@ -34,3 +34,11 @@ def test_tracer_wraps_and_restores_every_name(tracing, tmp_path):
                for (namespace, name), original in zip(targets, originals))
     assert tracer.calls["landscape.sweep"] == 1
     assert tracer.calls["cli.write"] == 1
+
+
+def test_tracer_spans_every_verification_suite(tracing):
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert main(["verify", "--points", "20", "--grid", "4"]) == 0
+    for suite in tracing.VERIFICATION_SUITES:
+        assert tracer.calls[f"verification.{suite}"] == 1
