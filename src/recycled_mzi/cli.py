@@ -141,8 +141,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = verification.run_all(points=args.points, seed=args.seed,
-                                   losses=_parse_losses(args.losses), grid_n=args.grid,
-                                   step=args.step)
+                                   losses=_parse_losses(args.losses), grid_n=args.grid)
     width = max(len(result.name) for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
     verify.add_argument("--losses", default=",".join(str(l) for l in verification.DEFAULT_LOSSES))
     verify.add_argument("--grid", type=int, default=verification.DEFAULT_GRID)
-    verify.add_argument("--step", type=float, default=verification.DEFAULT_STEP)
     verify.set_defaults(handler=cmd_verify)
 
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .loop import RecycledCoefficients, cascade, closed_form, passes_for_tolerance
+from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio, passes_for_tolerance
 from .metrology import lambda1_values, lambda2_values, lambda3_values
 from .optics import LoopParameters
 
@@ -41,9 +41,9 @@ SMALL_VALUE_FLOOR = 1e-3
 
 # Most (point, loss) pairs one suite of `run_all` may evaluate: exactly a
 # 1000x1000 derivative grid at the six default losses.  Peak memory grows
-# linearly with them, about 135 bytes each on the derivative grid and 310 on
+# linearly with them, about 200 bytes each on the derivative grid and 270 on
 # the sampled points (numpy 2.4.6, x86-64), so a run at the cap peaks near
-# 0.8 GB or 1.9 GB respectively.
+# 1.3 GB or 1.7 GB respectively.
 MAX_POINT_LOSSES = 6 * 10**6
 
 
@@ -134,7 +134,7 @@ def energy_balance(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
     return CheckResult("energy balance", worst, ENERGY_TOL)
 
 
-def finite_difference_factors(phi, theta0, loss, step: float = DEFAULT_STEP):
+def finite_difference_factors(phi, theta0, loss, step=None):
     """lambda1 and lambda2 by Richardson-extrapolated central differences
     in phi (broadcasts).
 
@@ -143,11 +143,20 @@ def finite_difference_factors(phi, theta0, loss, step: float = DEFAULT_STEP):
     the carrier-referenced mean quadrature, 2|Re(d upsilon/d phi)|; the
     bound factor is 2|d upsilon/d phi|.  Combining the central differences
     at step and step/2 as (4*D(step/2) - D(step))/3 cancels their step**2
-    error term, so the truncation error scales with step**4; it still grows
-    near the sharp resonance ridge at small loss.
+    error term, so the truncation error scales with step**4.
+
+    `step` (a number or an array broadcasting with the points) defaults per
+    point to min(DEFAULT_STEP, 0.01*|1 - gamma|): near the resonance
+    upsilon varies on a scale of |1 - gamma| in phi, about L at small
+    loss, so a fixed step would span it.
     """
-    if not 0.0 < step <= 1e-3:
-        raise ParameterError(f"step must lie in (0, 1e-3], got {step}")
+    if step is None:
+        step = np.minimum(DEFAULT_STEP, 0.01 * np.abs(1.0 - loop_ratio(phi, theta0, loss)))
+    else:
+        step = np.asarray(step, dtype=float)
+        outside = ~((step > 0.0) & (step <= 1e-3))
+        if np.any(outside):
+            raise ParameterError(f"step must lie in (0, 1e-3], got {float(step[outside].flat[0])}")
     phi = np.asarray(phi)
     # Twice the central-difference slope of upsilon at step/2 and at step.
     half, full = ((closed_form(phi + h, theta0, loss).upsilon
@@ -156,8 +165,7 @@ def finite_difference_factors(phi, theta0, loss, step: float = DEFAULT_STEP):
     return np.abs(slope.real), np.abs(slope)
 
 
-def _factor_vs_derivative(name: str, kernel, route: int, grid_n: int, losses,
-                          step: float) -> CheckResult:
+def _factor_vs_derivative(name: str, kernel, route: int, grid_n: int, losses) -> CheckResult:
     """Closed factor `kernel` versus finite_difference_factors(...)[route],
     relative, over a grid_n x grid_n grid at each loss.
 
@@ -170,7 +178,7 @@ def _factor_vs_derivative(name: str, kernel, route: int, grid_n: int, losses,
     phi, theta0 = axis[:, None], axis[None, :]
     loss = np.asarray(losses, dtype=float)[:, None, None]
     closed = kernel(phi, theta0, loss)
-    numeric = finite_difference_factors(phi, theta0, loss, step)[route]
+    numeric = finite_difference_factors(phi, theta0, loss)[route]
     mask = closed >= SMALL_VALUE_FLOOR
     if not mask.any():
         raise ParameterError(f"no point of the {grid_n}x{grid_n} derivative grid has a "
@@ -179,18 +187,17 @@ def _factor_vs_derivative(name: str, kernel, route: int, grid_n: int, losses,
     return CheckResult(name, worst, DERIVATIVE_RTOL)
 
 
-def hd_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES,
-                            step: float = DEFAULT_STEP) -> CheckResult:
+def hd_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES) -> CheckResult:
     """Closed homodyne factor versus finite-difference error propagation."""
     return _factor_vs_derivative("homodyne factor vs finite difference", lambda1_values, 0,
-                                 grid_n, losses, step)
+                                 grid_n, losses)
 
 
-def qcrb_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES,
-                              step: float = DEFAULT_STEP) -> CheckResult:
+def qcrb_factor_vs_derivative(grid_n: int = DEFAULT_GRID,
+                              losses=DERIVATIVE_LOSSES) -> CheckResult:
     """Closed bound factor versus twice the modulus of the coefficient slope."""
     return _factor_vs_derivative("qcrb factor vs finite difference", lambda2_values, 1,
-                                 grid_n, losses, step)
+                                 grid_n, losses)
 
 
 def photon_factor_consistency(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
@@ -204,8 +211,7 @@ def photon_factor_consistency(points: np.ndarray, losses=DEFAULT_LOSSES) -> Chec
 
 
 def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
-            losses=DEFAULT_LOSSES, grid_n: int = DEFAULT_GRID,
-            step: float = DEFAULT_STEP) -> list[CheckResult]:
+            losses=DEFAULT_LOSSES, grid_n: int = DEFAULT_GRID) -> list[CheckResult]:
     """Run every suite and return the individual results.
 
     Both suite sizes, points x losses and grid_n**2 x derivative losses,
@@ -223,7 +229,7 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
         oracle_equivalence(pts, losses),
         output_normalization(pts, losses),
         energy_balance(pts, losses),
-        hd_factor_vs_derivative(grid_n, derivative_losses, step),
-        qcrb_factor_vs_derivative(grid_n, derivative_losses, step),
+        hd_factor_vs_derivative(grid_n, derivative_losses),
+        qcrb_factor_vs_derivative(grid_n, derivative_losses),
         photon_factor_consistency(pts, losses),
     ]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -323,12 +324,30 @@ class TestVerify:
         oracle_line = next(line for line in out.splitlines() if "oracle" in line)
         assert "0.000e+00" in oracle_line
 
+    # From the lossless loop, where a point near phi = pi makes up to ~9e9
+    # cascade passes, up to the blocked one.  The floor 5e-5 sits above the loss, about
+    # 3e-5, below which the lambda2 kernel itself loses digits at (pi, 0),
+    # so the qcrb check would fail for the kernel's sake, not the oracle's.
+    @pytest.mark.parametrize("sizes", [(), ("--grid", "200", "--points", "100")])
+    def test_passes_across_losses(self, capsys, sizes):
+        losses = ",".join(["0"] + [repr(float(loss)) for loss in np.geomspace(5e-5, 1, 25)])
+        code, out, _ = run_cli(capsys, "verify", "--losses", losses, *sizes)
+        assert code == 0
+        assert out.endswith("all checks passed\n")
+
+    def test_step_option_is_gone(self):
+        result = subprocess.run([sys.executable, "-m", "recycled_mzi", "verify", "--step", "1e-4"],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments: --step" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 @pytest.mark.parametrize("argv,error", [
     (("verify", "--points", "0"), "ParameterError"),
     (("verify", "--grid", "1"), "ParameterError"),
-    # The lossless loop near phi = pi needs more cascade passes than the cap.
-    (("verify", "--losses", "0"), "ConvergenceError"),
+    (("verify", "--losses", "0.1,1.5"), "ParameterError"),
     (("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "4", "--out", "{missing}/x.csv"),
      "FileNotFoundError"),
     (("point", "--phi", "1", "--theta0", "0", "--loss", "0.1", "--alpha", "1e200"),

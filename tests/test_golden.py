@@ -32,8 +32,11 @@ GOLDEN = {
     # The two finite-difference lines changed when the derivative oracle
     # became Richardson-extrapolated at step 1e-4 (3.015e-07 -> 5.059e-09,
     # 8.286e-08 -> 2.731e-09); before that the digest was 3460da15...407e.
+    # The oracle line changed when the cascade began composing its passes
+    # by repeated squaring (4.530e-14 -> 4.441e-14); before that the digest
+    # was eb0c5f93...8c35.
     "verify":
-        "eb0c5f9367c2e4edf3bbb8a847ead3ebddae0b122afff108a23a0bf8056f8c35",
+        "af3f499a70b8f0abbd5e66e2671cdeb951db75de5ecd6e6f5913eb378e3e7948",
 }
 
 

@@ -122,7 +122,7 @@ class TestLambda1Numeric:
         numeric = finite_difference_factors(phi, theta0, 0.05)[0]
         assert abs(numeric - closed) / closed < DERIVATIVE_RTOL
 
-    @pytest.mark.parametrize("step", [0.0, -1e-6, 2e-3])
+    @pytest.mark.parametrize("step", [0.0, -1e-6, 2e-3, np.array([1e-4, 2e-3, 1e-5])])
     def test_step_domain(self, step):
         with pytest.raises(ParameterError):
             fd_lambda1(REFERENCE, step)
