@@ -97,14 +97,16 @@ def sweep_csv(grid: SweepGrid) -> Iterator[str]:
     """CSV text `phi,theta0,value` of a sweep, row-major in phi then theta0.
 
     Yields the header line, then one chunk of lines per phi row, so the text
-    of the whole grid is never held at once.
+    of the whole grid is never held at once.  Each row is one `%` operation
+    on a per-grid template: `"%.12g" % x` and `_format_number(x)` both call
+    `PyOS_double_to_string(x, 'g', 12, 0)`, so the bytes are the same.  The
+    NUL that marks the phi field never occurs in a formatted number.
     """
     yield "phi,theta0,value\n"
-    tails = [f",{_format_number(theta0)}," for theta0 in grid.theta0_points.tolist()]
+    template = "".join([f"\0,{_format_number(theta0)},%.12g\n"
+                        for theta0 in grid.theta0_points.tolist()])
     for phi, row in zip(grid.phi_points.tolist(), grid.values):
-        head = _format_number(phi)
-        yield "".join([head + tail + value + "\n"
-                       for tail, value in zip(tails, map(_format_number, row.tolist()))])
+        yield template.replace("\0", _format_number(phi)) % tuple(row.tolist())
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -62,7 +62,12 @@ class MeritReport:
 
 
 def _trig_pieces(phi, theta0, loss):
-    """Pieces shared by the kernels: loss, sqrt(1-L), theta_shift, half_denom_sq.
+    """Pieces shared by the kernels, in this order: loss, sqrt(1-L), cos(phi),
+    cos(theta0), half_denom_sq and the full-size
+    shift = 2*sqrt(1-L)*(cos(theta0 + phi) - cos(theta0)).
+
+    Only lambda3 needs the shift; lambda1 and lambda2 take the first five
+    pieces, so it is freed before their own temporaries are built.
 
     Raises ResonantPoleError where |1 - gamma| < KERNEL_POLE_THRESHOLD.  The
     minimum is checked first: the mask costs more, and only a hit needs it.
@@ -70,15 +75,16 @@ def _trig_pieces(phi, theta0, loss):
     loss = np.asarray(loss)
     trans_sq = 1.0 - loss
     trans = np.sqrt(trans_sq)
-    theta_shift = np.cos(np.asarray(theta0) + np.asarray(phi)) - np.cos(theta0)
+    cos_phi, cos_theta0 = np.cos(phi), np.cos(theta0)
+    shift = 2.0 * trans * (np.cos(np.asarray(theta0) + np.asarray(phi)) - cos_theta0)
     # Half the squared modulus of the common loop denominator, 2*|1 - gamma|**2.
-    half_denom_sq = 2.0 * trans * theta_shift - trans_sq * np.cos(phi) - loss + 3.0
+    half_denom_sq = shift - trans_sq * cos_phi - loss + 3.0
     floor = 2.0 * KERNEL_POLE_THRESHOLD**2
     if half_denom_sq.min(initial=np.inf) < floor:
         _raise_where(half_denom_sq < floor, ResonantPoleError,
                      f"|1 - gamma| < {KERNEL_POLE_THRESHOLD}, too near the lossless resonance",
                      phi, theta0, loss)
-    return loss, trans, theta_shift, half_denom_sq
+    return loss, trans, cos_phi, cos_theta0, half_denom_sq, shift
 
 
 def lambda1_values(phi, theta0, loss):
@@ -86,17 +92,17 @@ def lambda1_values(phi, theta0, loss):
 
     Zero (not an error) where the mean quadrature is stationary in phi.
     """
-    loss, trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
-    bracket = ((2.0 - loss - 2.0 * trans * np.cos(theta0)) * np.sin(phi)
-               - trans * (np.cos(phi) + 1.0) * np.sin(theta0))
-    signal = np.abs((trans * np.cos(theta0) - 1.0) * bracket)
+    loss, trans, cos_phi, cos_theta0, half_denom_sq = _trig_pieces(phi, theta0, loss)[:5]
+    bracket = ((2.0 - loss - 2.0 * trans * cos_theta0) * np.sin(phi)
+               - trans * (cos_phi + 1.0) * np.sin(theta0))
+    signal = np.abs((trans * cos_theta0 - 1.0) * bracket)
     return 4.0 * signal / (half_denom_sq * half_denom_sq)
 
 
 def lambda2_values(phi, theta0, loss):
     """Quantum Cramer-Rao enhancement factor, broadcasting."""
-    loss, trans, _, half_denom_sq = _trig_pieces(phi, theta0, loss)
-    return np.abs(2.0 * (2.0 - loss - 2.0 * trans * np.cos(theta0)) / half_denom_sq)
+    loss, trans, _, cos_theta0, half_denom_sq = _trig_pieces(phi, theta0, loss)[:5]
+    return np.abs(2.0 * (2.0 - loss - 2.0 * trans * cos_theta0) / half_denom_sq)
 
 
 def lambda3_values(phi, theta0, loss):
@@ -105,8 +111,8 @@ def lambda3_values(phi, theta0, loss):
     Equals |upsilon|**2 + |xi|**2 and is >= 1 for every loss in (0, 1]:
     recycling can only add photons to the interferometer.
     """
-    loss, trans, theta_shift, half_denom_sq = _trig_pieces(phi, theta0, loss)
-    return (2.0 * trans * theta_shift - 2.0 * loss + 4.0) / half_denom_sq
+    loss, _, _, _, half_denom_sq, shift = _trig_pieces(phi, theta0, loss)
+    return (shift - 2.0 * loss + 4.0) / half_denom_sq
 
 
 def merit_report(params: LoopParameters) -> MeritReport:

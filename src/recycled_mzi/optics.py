@@ -21,8 +21,8 @@ from .errors import ParameterError
 class LoopParameters:
     """Operating point of the recycled interferometer.
 
-    phi and theta0 are phases in radians (any finite real; all derived
-    quantities are 2*pi-periodic).  loss is the power fraction lost per
+    phi and theta0 are phases in radians (any finite reals with a finite
+    sum; all derived quantities are 2*pi-periodic).  loss is the power fraction lost per
     round trip on the recycling arm.  alpha_mag is the coherent input
     amplitude, so alpha_mag**2 is the mean input photon number.  The input
     carrier phase is not a field: the homodyne local oscillator is
@@ -35,8 +35,10 @@ class LoopParameters:
     alpha_mag: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi) and math.isfinite(self.theta0)):
-            raise ParameterError("phi and theta0 must be finite")
+        # The kernels take the cosine of theta0 + phi, so the sum must be
+        # finite too.
+        if not math.isfinite(self.phi + self.theta0):
+            raise ParameterError("phi, theta0 and their sum must be finite")
         if isinstance(self.loss, (bool, np.bool_)) or not 0.0 <= self.loss <= 1.0:
             raise ParameterError(f"loss must lie in [0, 1], got {self.loss}")
         # The photon numbers scale with alpha_mag**2, which must stay finite.

@@ -11,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from recycled_mzi import cli, verification
 from recycled_mzi.cli import main
 from recycled_mzi.errors import ModelError
-from recycled_mzi.landscape import MAX_GRID_POINTS, sweep
+from recycled_mzi.landscape import MAX_GRID_POINTS, SweepGrid, sweep
 from recycled_mzi.metrology import METRICS
 
 
@@ -215,6 +216,26 @@ class TestStreamedSweep:
         assert peak < 1.5 * target.stat().st_size
 
 
+# Every float the kernels never produce as well as the ones they do: signed
+# zeros, subnormals, integral values, the switch to exponent form at 1e16 and
+# 1e-5, infinities and nan, mixed with arbitrary doubles.
+edge_floats = (st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -3.0, 1e15, 1e16,
+                                123456789012345.0, 1e-5, 9.9999999999995e-6, 1e-4,
+                                math.inf, -math.inf, math.nan])
+               | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(data=st.data(), n_phi=st.integers(1, 6), n_theta0=st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_sweep_csv_formats_any_grid_like_per_cell(data, n_phi, n_theta0):
+    grid = SweepGrid(
+        phi_points=data.draw(arrays(np.float64, n_phi, elements=edge_floats)),
+        theta0_points=data.draw(arrays(np.float64, n_theta0, elements=edge_floats)),
+        values=data.draw(arrays(np.float64, (n_phi, n_theta0), elements=edge_floats)),
+    )
+    assert "".join(cli.sweep_csv(grid)) == per_cell_sweep_csv(grid)
+
+
 # Axis sizes: refused ones (negative, 0, 1), accepted ones up to 30, and ones
 # that take the grid over MAX_GRID_POINTS with any other accepted axis.
 axis_sizes = st.integers(-3, 30) | st.integers(MAX_GRID_POINTS // 2 + 1, 10**12)
@@ -247,6 +268,35 @@ def test_sweep_argv_contract(metric, loss, n, n_phi, n_theta0):
         assert stdout.getvalue() == ""
     if code == 0:
         assert stdout.getvalue().count("\n") == 1 + rows * cols
+
+
+point_floats = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "1e308",
+                                  "-1e308", "3.141592653589793", "1.5"])
+                | st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@given(phi=point_floats, theta0=point_floats, loss=sweep_losses | point_floats,
+       alpha=st.none() | point_floats, degrees=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_point_argv_contract(phi, theta0, loss, alpha, degrees):
+    argv = ["point", f"--phi={phi}", f"--theta0={theta0}", f"--loss={loss}"]
+    if alpha is not None:
+        argv.append(f"--alpha={alpha}")
+    if degrees:
+        argv.append("--degrees")
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+
+    assert code in (0, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2:
+        assert stdout.getvalue() == ""
+        assert json.loads(stderr.getvalue())["error"] in ("ParameterError", "ResonantPoleError")
+    else:
+        assert 0.0 <= float(loss) <= 1.0
+        assert len(json.loads(stdout.getvalue())) == 10
 
 
 class TestOptimize:

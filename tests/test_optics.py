@@ -146,6 +146,8 @@ class TestLoopParameters:
         # A flag is not a loss, though True == 1.
         {"phi": 0.0, "theta0": 0.0, "loss": True},
         {"phi": 0.0, "theta0": 0.0, "loss": np.True_},
+        # Each phase is finite, but theta0 + phi overflows in the kernels.
+        {"phi": 1e308, "theta0": 1e308, "loss": 0.5},
     ])
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
