@@ -93,9 +93,10 @@ def lambda1_values(phi, theta0, loss):
     Zero (not an error) where the mean quadrature is stationary in phi.
     """
     loss, trans, cos_phi, cos_theta0, half_denom_sq = _trig_pieces(phi, theta0, loss)[:5]
-    bracket = ((2.0 - loss - 2.0 * trans * cos_theta0) * np.sin(phi)
-               - trans * (cos_phi + 1.0) * np.sin(theta0))
-    signal = np.abs((trans * cos_theta0 - 1.0) * bracket)
+    # One expression, so no full-size intermediate stays bound to a name.
+    signal = np.abs((trans * cos_theta0 - 1.0)
+                    * ((2.0 - loss - 2.0 * trans * cos_theta0) * np.sin(phi)
+                       - trans * (cos_phi + 1.0) * np.sin(theta0)))
     return 4.0 * signal / (half_denom_sq * half_denom_sq)
 
 

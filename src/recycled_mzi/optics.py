@@ -22,11 +22,12 @@ class LoopParameters:
     """Operating point of the recycled interferometer.
 
     phi and theta0 are phases in radians (any finite reals with a finite
-    sum; all derived quantities are 2*pi-periodic).  loss is the power fraction lost per
-    round trip on the recycling arm.  alpha_mag is the coherent input
-    amplitude, so alpha_mag**2 is the mean input photon number.  The input
-    carrier phase is not a field: the homodyne local oscillator is
-    referenced to the carrier, so no figure of merit depends on it.
+    sum; all derived quantities are 2*pi-periodic).  loss is the power
+    fraction lost per round trip on the recycling arm.  alpha_mag is the
+    coherent input amplitude, so alpha_mag**2 is the mean input photon
+    number.  The input carrier phase is not a field: the homodyne local
+    oscillator is referenced to the carrier, so no figure of merit depends
+    on it.
     """
 
     phi: float
