@@ -55,6 +55,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     git revision its provenance line names."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
+    # bench/run.py puts its own checkout's src first; an inherited
+    # PYTHONPATH would still reach both sides' children after it.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)

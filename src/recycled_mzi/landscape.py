@@ -27,10 +27,11 @@ from .metrology import METRICS
 
 TWO_PI = 2.0 * math.pi
 
-# 2000 x 2000 cells: `sweep --n 2000 --out` takes 2.8-3.0 s and peaks at
-# 182 MB RSS for lambda1, 2.7-3.1 s and 121 MB for lambda2, 2.6-2.8 s and
-# 121 MB for lambda3 (2 vCPU).  The CSV is streamed row by row, so the peak
-# is the value grid and the kernel temporaries, not the 168 MB of text.
+# 2000 x 2000 cells: `sweep --n 2000 --out` takes 2.2-2.5 s and peaks at
+# 152 MB RSS for lambda1, 1.9-2.5 s and 121 MB for lambda2, 2.0-2.2 s and
+# 121 MB for lambda3 (2 vCPU, BENCH_12.json).  The CSV is streamed row by
+# row, so the peak is the value grid and the kernel temporaries, not the
+# 168 MB of text.
 MAX_GRID_POINTS = 4 * 10**6
 
 REFINE_SEEDS = 5
