@@ -34,9 +34,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+# Every number in CSV output: 12 significant digits.
+NUMBER_FORMAT = "%.12g"
+
 
 def _format_number(value: float) -> str:
-    return f"{value:.12g}"
+    return NUMBER_FORMAT % value
 
 
 def _write_chunks(chunks: Iterable[str], out_path: str | None) -> None:
@@ -98,12 +101,11 @@ def sweep_csv(grid: SweepGrid) -> Iterator[str]:
 
     Yields the header line, then one chunk of lines per phi row, so the text
     of the whole grid is never held at once.  Each row is one `%` operation
-    on a per-grid template: `"%.12g" % x` and `_format_number(x)` both call
-    `PyOS_double_to_string(x, 'g', 12, 0)`, so the bytes are the same.  The
-    NUL that marks the phi field never occurs in a formatted number.
+    on a per-grid template.  The NUL that marks the phi field never occurs
+    in a formatted number.
     """
     yield "phi,theta0,value\n"
-    template = "".join([f"\0,{_format_number(theta0)},%.12g\n"
+    template = "".join([f"\0,{_format_number(theta0)},{NUMBER_FORMAT}\n"
                         for theta0 in grid.theta0_points.tolist()])
     for phi, row in zip(grid.phi_points.tolist(), grid.values):
         yield template.replace("\0", _format_number(phi)) % tuple(row.tolist())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ResonantPoleError
-from .optics import mzi_entries
+from .optics import check_loss, mzi_entries
 
 # Below this loop-denominator magnitude the steady state is numerically
 # meaningless; reachable only at L = 0 with phi = pi, theta0 = 0 (mod 2*pi).
@@ -57,12 +57,12 @@ class RecycledCoefficients:
 
 
 def _feedback(theta0, loss):
-    """Amplitude factor sqrt(1-L)*exp(-i*theta0) of one trip round the loop."""
-    loss = np.asarray(loss, dtype=float)
-    outside = ~((loss >= 0.0) & (loss <= 1.0))
-    if np.any(outside):
-        raise ParameterError(f"loss must lie in [0, 1], got {float(loss[outside].flat[0])}")
-    return np.sqrt(1.0 - loss) * np.exp(-1j * np.asarray(theta0))
+    """Amplitude factor sqrt(1-L)*exp(-i*theta0) of one trip round the loop.
+
+    Each route of this module takes its loss through here first, so the
+    loss is checked here.
+    """
+    return np.sqrt(1.0 - check_loss(loss)) * np.exp(-1j * np.asarray(theta0))
 
 
 def _raise_where(mask, error: type, message: str, phi, theta0, loss) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ResonantPoleError
 from .loop import _raise_where, closed_form
-from .optics import LoopParameters
+from .optics import LoopParameters, check_loss
 
 # The closed trigonometric kernels divide by the squared loop denominator,
 # which loses every significant double-precision digit well before the
@@ -69,10 +69,11 @@ def _trig_pieces(phi, theta0, loss):
     Only lambda3 needs the shift; lambda1 and lambda2 take the first five
     pieces, so it is freed before their own temporaries are built.
 
-    Raises ResonantPoleError where |1 - gamma| < KERNEL_POLE_THRESHOLD.  The
+    Raises ParameterError unless the loss lies in [0, 1] (`check_loss`), and
+    ResonantPoleError where |1 - gamma| < KERNEL_POLE_THRESHOLD.  The
     minimum is checked first: the mask costs more, and only a hit needs it.
     """
-    loss = np.asarray(loss)
+    loss = check_loss(loss)
     trans_sq = 1.0 - loss
     trans = np.sqrt(trans_sq)
     cos_phi, cos_theta0 = np.cos(phi), np.cos(theta0)

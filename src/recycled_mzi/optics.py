@@ -17,6 +17,31 @@ import numpy as np
 from .errors import ParameterError
 
 
+def check_loss(loss) -> np.ndarray:
+    """The recycling-arm loss as a float64 array, checked element by element.
+
+    Every element must be a number in [0, 1].  A bool is refused though
+    True == 1: a flag is not a loss.  A float64 array is returned without a
+    copy.  Raises ParameterError naming the first element that is a bool,
+    NaN, infinite or outside [0, 1].
+    """
+    # A Python scalar or sequence keeps its elements' own types as objects,
+    # so a bool among numbers is seen before conversion turns it into 1.0.
+    given = loss if isinstance(loss, np.ndarray) else np.asarray(loss, dtype=object)
+    if given.dtype == object:
+        flags = np.array([isinstance(x, (bool, np.bool_)) for x in given.flat], dtype=bool)
+        any_flag = flags.any()
+    else:
+        flags = any_flag = given.dtype == np.bool_
+    values = given.astype(float, copy=False)
+    # min and max propagate NaN, so these two comparisons also refuse it.
+    if not any_flag and values.min(initial=np.inf) >= 0.0 and values.max(initial=-np.inf) <= 1.0:
+        return values
+    flat = values.ravel()
+    bad = flags | ~((flat >= 0.0) & (flat <= 1.0))
+    raise ParameterError(f"loss must lie in [0, 1], got {given.flat[np.argmax(bad)]}")
+
+
 @dataclass(frozen=True)
 class LoopParameters:
     """Operating point of the recycled interferometer.
@@ -40,8 +65,7 @@ class LoopParameters:
         # finite too.
         if not math.isfinite(self.phi + self.theta0):
             raise ParameterError("phi, theta0 and their sum must be finite")
-        if isinstance(self.loss, (bool, np.bool_)) or not 0.0 <= self.loss <= 1.0:
-            raise ParameterError(f"loss must lie in [0, 1], got {self.loss}")
+        check_loss(self.loss)
         # The photon numbers scale with alpha_mag**2, which must stay finite.
         if not (self.alpha_mag >= 0.0 and math.isfinite(self.alpha_mag * self.alpha_mag)):
             raise ParameterError(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError
 from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio, passes_for_tolerance
 from .metrology import lambda1_values, lambda2_values, lambda3_values
-from .optics import LoopParameters
+from .optics import LoopParameters, check_loss
 
 DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
@@ -214,9 +214,11 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
             losses=DEFAULT_LOSSES, grid_n: int = DEFAULT_GRID) -> list[CheckResult]:
     """Run every suite and return the individual results.
 
-    Both suite sizes, points x losses and grid_n**2 x derivative losses,
-    are checked against MAX_POINT_LOSSES before anything is allocated.
+    The losses, and both suite sizes, points x losses and grid_n**2 x
+    derivative losses against MAX_POINT_LOSSES, are checked before anything
+    is allocated.
     """
+    check_loss(losses)
     # The finite-difference comparisons need loss > 0 to stay clear of the
     # lossless resonance; fall back to the stock losses otherwise.
     derivative_losses = tuple(l for l in losses if l > 0.0) or DERIVATIVE_LOSSES

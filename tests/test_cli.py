@@ -34,19 +34,17 @@ def read_csv(text):
 
 
 def per_cell_sweep_csv(grid):
-    """CSV text of a sweep, one `_format_number` call per field of each cell.
+    """CSV text of a sweep, one f-string `.12g` field per value of each cell.
 
     The reference for the streamed `cli.sweep_csv`: it formats both axes
-    again for every cell and joins the whole text at once.
+    again for every cell and joins the whole text at once.  It spells the
+    number format on its own, so it pins the bytes whatever the CLI uses.
     """
     lines = ["phi,theta0,value"]
     for i, phi in enumerate(grid.phi_points):
         row = grid.values[i]
         for j, theta0 in enumerate(grid.theta0_points):
-            lines.append(
-                f"{cli._format_number(phi)},{cli._format_number(theta0)},"
-                f"{cli._format_number(row[j])}"
-            )
+            lines.append(f"{phi:.12g},{theta0:.12g},{row[j]:.12g}")
     return "\n".join(lines) + "\n"
 
 
@@ -429,6 +427,10 @@ class TestVerify:
     (("optimize", "--metric", "lambda1", "--losses", "0.1,abc"), "ModelError"),
     # Every factor of the 2x2 derivative grid sits below SMALL_VALUE_FLOOR.
     (("verify", "--losses", "0.5", "--grid", "2", "--points", "1"), "ParameterError"),
+    # The [0, 1] loss rule, before any point is sampled.
+    (("verify", "--losses", "1.5"), "ParameterError"),
+    # The (0, 1] rule of sweeps refuses nan as well.
+    (("sweep", "--metric", "lambda1", "--loss", "nan"), "ParameterError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

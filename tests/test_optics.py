@@ -1,12 +1,16 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from recycled_mzi import LoopParameters, ParameterError, cascade, closed_form, mzi_entries
+from recycled_mzi import (LoopParameters, ParameterError, cascade, closed_form, lambda1_values,
+                          lambda2_values, lambda3_values, loss_curve, maximize, mzi_entries,
+                          sweep, verification)
 from recycled_mzi.loop import loop_ratio, passes_for_tolerance
+from recycled_mzi.optics import check_loss
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -133,6 +137,85 @@ def test_loss_transform_domain(loss):
         LoopParameters(phi=0.0, theta0=0.0, loss=loss)
     with pytest.raises(ParameterError):
         closed_form(np.zeros(3), 0.0, np.array([0.5, loss, 0.5]))
+
+
+def _listed(loss):
+    return [loss] if np.ndim(loss) == 0 else loss
+
+
+# Every public route that takes a loss, and whether it takes an array of them.
+LOSS_ROUTES = {
+    "lambda1_values": (lambda loss: lambda1_values(1.0, 0.5, loss), True),
+    "lambda2_values": (lambda loss: lambda2_values(1.0, 0.5, loss), True),
+    "lambda3_values": (lambda loss: lambda3_values(1.0, 0.5, loss), True),
+    "closed_form": (lambda loss: closed_form(1.0, 0.5, loss), True),
+    "cascade": (lambda loss: cascade(1.0, 0.5, loss, 3), True),
+    "loop_ratio": (lambda loss: loop_ratio(1.0, 0.5, loss), True),
+    "passes_for_tolerance": (lambda loss: passes_for_tolerance(1.0, 0.5, loss, 1e-6), True),
+    "LoopParameters": (lambda loss: LoopParameters(phi=1.0, theta0=0.5, loss=loss), False),
+    "sweep": (lambda loss: sweep("lambda1", loss, 2, 2), False),
+    "maximize": (lambda loss: maximize("lambda1", loss, grid_seed=2), False),
+    "loss_curve": (lambda loss: loss_curve("lambda1", _listed(loss), grid_seed=2), True),
+    "run_all": (lambda loss: verification.run_all(points=1, losses=_listed(loss), grid_n=2), True),
+}
+
+# Negative (not -0.0, which lies in [0, 1]), above 1, NaN, infinite, or a
+# flag, which equals 1 but is not a loss.
+bad_losses = (st.sampled_from([math.nan, math.inf, -math.inf, True, np.True_, -0.1, 1.5])
+              | st.floats(max_value=-5e-324)
+              | st.floats(min_value=1.0, exclude_min=True))
+
+
+@given(route=st.sampled_from(sorted(LOSS_ROUTES)), bad=bad_losses,
+       container=st.sampled_from(["alone", "list", "array"]))
+@settings(max_examples=300, deadline=None)
+def test_every_loss_route_refuses_a_bad_loss(route, bad, container):
+    call, takes_array = LOSS_ROUTES[route]
+    loss = bad
+    if takes_array and container == "list":
+        loss = [0.2, bad, 0.7]
+    elif takes_array and container == "array":
+        # A float array turns a flag into 1.0, a valid loss.
+        assume(not isinstance(bad, (bool, np.bool_)))
+        loss = np.array([0.2, bad, 0.7])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="loss must lie in"):
+            call(loss)
+    assert caught == []
+
+
+class TestCheckLoss:
+    def test_float64_array_is_not_copied(self):
+        loss = np.linspace(0.0, 1.0, 7)
+        assert check_loss(loss) is loss
+
+    def test_scalars_and_lists_become_float64_arrays(self):
+        for loss, expected in ((0.25, np.array(0.25)), (1, np.array(1.0)),
+                               ([0, 0.5], np.array([0.0, 0.5])),
+                               (np.array([0, 1], dtype=np.int64), np.array([0.0, 1.0]))):
+            checked = check_loss(loss)
+            assert checked.dtype == np.float64
+            np.testing.assert_array_equal(checked, expected)
+
+    @pytest.mark.parametrize("loss,named", [
+        ([0.5, 2.0, -1.0], "2.0"),
+        ([[0.5], [math.nan]], "nan"),
+        (np.array([0.1, -math.inf]), "-inf"),
+        ([0.0, np.True_, 0.3], "True"),
+        (np.array([False, True]), "False"),
+    ])
+    def test_names_the_first_bad_element(self, loss, named):
+        with pytest.raises(ParameterError, match=rf"^loss must lie in \[0, 1\], got {named}$"):
+            check_loss(loss)
+
+
+def test_run_all_checks_losses_before_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled points before checking the losses")
+    monkeypatch.setattr(verification, "sample_points", refuse)
+    with pytest.raises(ParameterError, match="got 1.5"):
+        verification.run_all(losses=[0.1, 1.5])
 
 
 class TestLoopParameters:
