@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -20,26 +21,28 @@ from .errors import ParameterError
 def check_loss(loss) -> np.ndarray:
     """The recycling-arm loss as a float64 array, checked element by element.
 
-    Every element must be a number in [0, 1].  A bool is refused though
+    Every element must be a real number in [0, 1].  A bool is refused though
     True == 1: a flag is not a loss.  A float64 array is returned without a
-    copy.  Raises ParameterError naming the first element that is a bool,
-    NaN, infinite or outside [0, 1].
+    copy.  Raises ParameterError naming the first element that is not a
+    real number, is a bool, NaN or infinite, or lies outside [0, 1].
     """
     # A Python scalar or sequence keeps its elements' own types as objects,
     # so a bool among numbers is seen before conversion turns it into 1.0.
     given = loss if isinstance(loss, np.ndarray) else np.asarray(loss, dtype=object)
+    # Elements that are not losses become NaN, which the range test refuses.
     if given.dtype == object:
-        flags = np.array([isinstance(x, (bool, np.bool_)) for x in given.flat], dtype=bool)
-        any_flag = flags.any()
+        values = np.array([np.nan if isinstance(x, (bool, np.bool_)) or not isinstance(x, Real)
+                           else x for x in given.flat], dtype=float).reshape(given.shape)
+    elif given.dtype.kind in "fiu":
+        values = given.astype(float, copy=False)
     else:
-        flags = any_flag = given.dtype == np.bool_
-    values = given.astype(float, copy=False)
+        values = np.full(given.shape, np.nan)
     # min and max propagate NaN, so these two comparisons also refuse it.
-    if not any_flag and values.min(initial=np.inf) >= 0.0 and values.max(initial=-np.inf) <= 1.0:
+    if values.min(initial=np.inf) >= 0.0 and values.max(initial=-np.inf) <= 1.0:
         return values
     flat = values.ravel()
-    bad = flags | ~((flat >= 0.0) & (flat <= 1.0))
-    raise ParameterError(f"loss must lie in [0, 1], got {given.flat[np.argmax(bad)]}")
+    first = np.argmax(~((flat >= 0.0) & (flat <= 1.0)))
+    raise ParameterError(f"loss must lie in [0, 1], got {given.flat[first]}")
 
 
 @dataclass(frozen=True)

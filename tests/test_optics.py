@@ -204,6 +204,10 @@ class TestCheckLoss:
         (np.array([0.1, -math.inf]), "-inf"),
         ([0.0, np.True_, 0.3], "True"),
         (np.array([False, True]), "False"),
+        # Not real numbers, though numpy would convert the strings.
+        ([0.5, "0.25"], "0.25"),
+        (np.array(["0.25"]), "0.25"),
+        (0.5 + 0j, r"\(0.5\+0j\)"),
     ])
     def test_names_the_first_bad_element(self, loss, named):
         with pytest.raises(ParameterError, match=rf"^loss must lie in \[0, 1\], got {named}$"):
