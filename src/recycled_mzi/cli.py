@@ -119,15 +119,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# CSV columns of `optimize`: the OptimumRecord fields, then an error column
-# that is always empty, because a bad argument exits 2 with no output.
-OPTIMIZE_HEADER = "loss,metric,lambda_max,phi_star,theta0_star,evaluations,error"
+# CSV columns of `optimize`: the OptimumRecord fields.
+OPTIMIZE_HEADER = "loss,metric,lambda_max,phi_star,theta0_star,evaluations"
 
 
 def _optimize_csv(records) -> str:
     lines = [OPTIMIZE_HEADER]
     lines.extend(",".join(_format_number(value) if isinstance(value, float) else str(value)
-                          for value in dataclasses.astuple(record)) + ","
+                          for value in dataclasses.astuple(record))
                  for record in records)
     return "\n".join(lines) + "\n"
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .metrology import METRICS
+from .optics import check_loss
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +75,12 @@ def _check_metric(metric_tag: str) -> None:
 
 
 def _check_loss(loss: float) -> None:
-    if isinstance(loss, (bool, np.bool_)) or not 0.0 < loss <= 1.0:
+    """One search loss: `check_loss`'s [0, 1] rule, one number, and L > 0."""
+    try:
+        accepted = check_loss(loss).ndim == 0 and loss > 0.0
+    except ParameterError:
+        accepted = False
+    if not accepted:
         raise ParameterError(f"loss must lie in (0, 1], got {loss}")
 
 

@@ -7,10 +7,10 @@ Closing the loop sums a geometric series in the loop ratio
 
 which contracts whenever L > 0.  Two array routes compute the coefficients,
 both broadcasting over (phi, theta0, loss): `closed_form` evaluates the
-summed series directly; `cascade` rebuilds the same coefficients by composing
-the recycling passes of the equivalent cascade of single interferometers,
-one pass per stage, by repeated squaring, and serves as an independent
-numerical oracle.
+summed series directly; `cascade` composes the m recycling passes of the
+equivalent cascade of single interferometers (one pass per stage) into
+gamma**m and the partial sum 1 + gamma + ... + gamma**(m-1) by repeated
+squaring, and serves as an independent numerical oracle.
 
 Vacuum bookkeeping: the cascade feeds vacuum into the first stage's unused
 port and through every loss splitter.  Vacuum modes are phase-insensitive
@@ -108,13 +108,16 @@ def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
     rate |gamma|.  passes=0 is the conventional interferometer with no
     recycling.
 
-    Each point makes its own number of passes.  A pass is the affine map
-    c -> gamma*c + offset, and 2**j passes compose to c -> power*c +
-    offset*total with power = gamma**(2**j) and total = 1 + gamma + ... +
-    gamma**(2**j - 1); squaring the map doubles j.  A point applies the
-    map of 2**j passes where bit j of its count is set, so the cost is one
-    array step per bit of the largest count.  No step divides by 1 - gamma,
-    which keeps the route independent of `closed_form`.
+    Each point makes its own number of passes.  After m passes the port b
+    holds seed = gamma**m of the first stage's vacuum and total = 1 + gamma
+    + ... + gamma**(m - 1) times each per-pass offset: feedback*s21 of the
+    input and sqrt(L) of the loss vacuum.  With power = gamma**(2**j) and
+    block = 1 + ... + gamma**(2**j - 1), 2**j more passes map seed ->
+    power*seed and total -> power*total + block, and squaring maps (power,
+    block) -> (power**2, block*(1 + power)).  A point takes that step where
+    bit j of its count is set, so the cost is one array step per bit of the
+    largest count.  No step divides by 1 - gamma, which keeps the route
+    independent of `closed_form`.
     """
     passes = np.asarray(passes)
     if np.any(passes < 0):
@@ -123,22 +126,19 @@ def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
     feedback = _feedback(theta0, loss)
     shape = np.broadcast_shapes(np.shape(phi), np.shape(theta0), np.shape(loss), passes.shape)
 
-    # Coefficients of the stage input port b: on the coherent input, on the
-    # first stage's vacuum port, and on the loss-channel vacuum.
-    coef = np.zeros((3,) + shape, dtype=complex)
-    coef[1] = 1.0
-    offset = np.stack([np.broadcast_to(x, shape) for x in (feedback * s21, 0j, np.sqrt(loss))])
-    power, total = feedback * s22, 1.0
+    seed, total = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    power, block = feedback * s22, 1.0
     for bit in range(int(passes.max(initial=0)).bit_length()):
-        coef = np.where((passes >> bit) & 1, power * coef + offset * total, coef)
-        power, total = power * power, total * (1.0 + power)
-    coef_in, coef_seed, coef_vac = coef
+        seed = np.where((passes >> bit) & 1, power * seed, seed)
+        total = np.where((passes >> bit) & 1, power * total + block, total)
+        power, block = power * power, block * (1.0 + power)
+    coef_in, coef_vac = feedback * s21 * total, np.sqrt(loss) * total
 
     return RecycledCoefficients(
         upsilon=s11 + s12 * coef_in,
-        vac_a=np.hypot(np.abs(s12 * coef_seed), np.abs(s12 * coef_vac)) + 0j,
+        vac_a=np.hypot(np.abs(s12 * seed), np.abs(s12 * coef_vac)) + 0j,
         xi=s21 + s22 * coef_in,
-        vac_b=np.hypot(np.abs(s22 * coef_seed), np.abs(s22 * coef_vac)) + 0j,
+        vac_b=np.hypot(np.abs(s22 * seed), np.abs(s22 * coef_vac)) + 0j,
     )
 
 

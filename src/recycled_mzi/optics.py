@@ -68,11 +68,13 @@ class LoopParameters:
         # finite too.
         if not math.isfinite(self.phi + self.theta0):
             raise ParameterError("phi, theta0 and their sum must be finite")
-        check_loss(self.loss)
+        if check_loss(self.loss).ndim:
+            raise ParameterError(f"loss must be one number, got shape {np.shape(self.loss)}")
         # The photon numbers scale with alpha_mag**2, which must stay finite.
-        if not (self.alpha_mag >= 0.0 and math.isfinite(self.alpha_mag * self.alpha_mag)):
+        if not (isinstance(self.alpha_mag, Real) and self.alpha_mag >= 0.0
+                and math.isfinite(self.alpha_mag * self.alpha_mag)):
             raise ParameterError(
-                f"alpha_mag must be >= 0 with a finite square, got {self.alpha_mag}")
+                f"alpha_mag must be a real number >= 0 with a finite square, got {self.alpha_mag!r}")
 
 
 def mzi_entries(phi):

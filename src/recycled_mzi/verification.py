@@ -41,9 +41,9 @@ SMALL_VALUE_FLOOR = 1e-3
 
 # Most (point, loss) pairs one suite of `run_all` may evaluate: exactly a
 # 1000x1000 derivative grid at the six default losses.  Peak memory grows
-# linearly with them, about 200 bytes each on the derivative grid and 270 on
+# linearly with them, about 200 bytes each on the derivative grid and 265 on
 # the sampled points (numpy 2.4.6, x86-64), so a run at the cap peaks near
-# 1.3 GB or 1.7 GB respectively.
+# 1.3 GB or 1.6 GB respectively.
 MAX_POINT_LOSSES = 6 * 10**6
 
 

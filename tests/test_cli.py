@@ -304,12 +304,12 @@ class TestOptimize:
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["loss", "metric", "lambda_max", "phi_star", "theta0_star",
-                          "evaluations", "error"]
+                          "evaluations"]
         assert len(rows) == 1
         assert float(rows[0][2]) == pytest.approx(9.32, abs=0.05)
         assert float(rows[0][3]) == pytest.approx(2.5702, abs=1e-3)
         assert float(rows[0][4]) == pytest.approx(0.3524, abs=1e-3)
-        assert rows[0][6] == ""
+        assert len(rows[0]) == len(header)
 
     def test_decreasing_maxima(self, capsys):
         _, out, _ = run_cli(capsys, "optimize", "--metric", "lambda1",

@@ -25,8 +25,10 @@ GOLDEN = {
         "d47eb785f20fbffba7c701ce9e8d1dfd001cdc83de255847f162b61de2001e8e",
     "sweep --metric lambda3 --loss 0.1 --n 50":
         "0ba18760e76d16ee073918a142cc9a1a40b2e414d360983c3b54f6b941eff6dd",
+    # The CSV lost its always-empty trailing error column; before that the
+    # digest was 97614211...79f4.
     "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60":
-        "976142111bde077c052a77613dedc27075e2848dd79fceaf4dd92058f66f79f4",
+        "d98f8be6ac1667a61e9411f01b5474fb3aa67da48cf894d67139b9fe8080a5c1",
     "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60 --format json":
         "cf184505073782fc8e45097bc452a1fd862d6af721704e28da11f20a997b54b9",
     # The two finite-difference lines changed when the derivative oracle

@@ -115,6 +115,7 @@ class TestSweep:
         {"metric_tag": "lambda1", "loss": 1.5, "n_phi": 10, "n_theta0": 10},
         {"metric_tag": "lambda1", "loss": 0.1, "n_phi": 1, "n_theta0": 10},
         {"metric_tag": "lambda1", "loss": 0.1, "n_phi": 20000, "n_theta0": 20000},
+        {"metric_tag": "lambda1", "loss": np.array([0.1, 0.2]), "n_phi": 10, "n_theta0": 10},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
@@ -187,6 +188,7 @@ class TestMaximize:
         {"metric_tag": "lambda1", "loss": 0.1, "grid_seed": 1},
         # 10**10 coarse cells: refused by the sweep size cap.
         {"metric_tag": "lambda1", "loss": 0.1, "grid_seed": 100000},
+        {"metric_tag": "lambda1", "loss": np.array([0.1, 0.2])},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):

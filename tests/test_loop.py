@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ class TestIterateSeries:
             }
             for field, value in expected.items():
                 assert abs(getattr(batch, field)[k] - value) < 1e-13 * max(1, abs(value))
+
+    def test_peak_memory_per_point(self):
+        # The passes compose on two complex arrays, gamma**m and the partial
+        # sum: ~240 bytes per point at the peak.
+        points = random_points(10**5, seed=31)
+        phi, theta0 = points[:, 0], points[:, 1]
+        passes = passes_for_tolerance(phi, theta0, 0.05, verification.STAGE_TOL)
+        tracemalloc.start()
+        try:
+            cascade(phi, theta0, 0.05, passes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 260 * len(points)
 
 
 class TestStagesForTolerance:

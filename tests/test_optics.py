@@ -159,9 +159,10 @@ LOSS_ROUTES = {
     "run_all": (lambda loss: verification.run_all(points=1, losses=_listed(loss), grid_n=2), True),
 }
 
-# Negative (not -0.0, which lies in [0, 1]), above 1, NaN, infinite, or a
-# flag, which equals 1 but is not a loss.
-bad_losses = (st.sampled_from([math.nan, math.inf, -math.inf, True, np.True_, -0.1, 1.5])
+# Negative (not -0.0, which lies in [0, 1]), above 1, NaN, infinite, a flag,
+# which equals 1 but is not a loss, or not a number at all.
+bad_losses = (st.sampled_from([math.nan, math.inf, -math.inf, True, np.True_, -0.1, 1.5,
+                               "0.5", None])
               | st.floats(max_value=-5e-324)
               | st.floats(min_value=1.0, exclude_min=True))
 
@@ -235,6 +236,9 @@ class TestLoopParameters:
         {"phi": 0.0, "theta0": 0.0, "loss": np.True_},
         # Each phase is finite, but theta0 + phi overflows in the kernels.
         {"phi": 1e308, "theta0": 1e308, "loss": 0.5},
+        # An operating point has one loss and a real amplitude.
+        {"phi": 0.0, "theta0": 0.0, "loss": np.array([0.2, 0.3])},
+        {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": "1"},
     ])
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
