@@ -77,7 +77,7 @@ def _check_metric(metric_tag: str) -> None:
 def _check_loss(loss: float) -> None:
     """One search loss: `check_loss`'s [0, 1] rule, one number, and L > 0."""
     try:
-        accepted = check_loss(loss).ndim == 0 and loss > 0.0
+        accepted = (value := check_loss(loss)).ndim == 0 and value > 0.0
     except ParameterError:
         accepted = False
     if not accepted:

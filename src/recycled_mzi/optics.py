@@ -66,8 +66,9 @@ class LoopParameters:
     def __post_init__(self) -> None:
         # The kernels take the cosine of theta0 + phi, so the sum must be
         # finite too.
-        if not math.isfinite(self.phi + self.theta0):
-            raise ParameterError("phi, theta0 and their sum must be finite")
+        if not (isinstance(self.phi, Real) and isinstance(self.theta0, Real)
+                and math.isfinite(self.phi + self.theta0)):
+            raise ParameterError("phi, theta0 and their sum must be finite real numbers")
         if check_loss(self.loss).ndim:
             raise ParameterError(f"loss must be one number, got shape {np.shape(self.loss)}")
         # The photon numbers scale with alpha_mag**2, which must stay finite.

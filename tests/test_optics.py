@@ -236,9 +236,11 @@ class TestLoopParameters:
         {"phi": 0.0, "theta0": 0.0, "loss": np.True_},
         # Each phase is finite, but theta0 + phi overflows in the kernels.
         {"phi": 1e308, "theta0": 1e308, "loss": 0.5},
-        # An operating point has one loss and a real amplitude.
+        # An operating point has real phases, one loss and a real amplitude.
         {"phi": 0.0, "theta0": 0.0, "loss": np.array([0.2, 0.3])},
         {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": "1"},
+        {"phi": "1", "theta0": 0.0, "loss": 0.5},
+        {"phi": 0.0, "theta0": np.array([0.1, 0.2]), "loss": 0.5},
     ])
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
