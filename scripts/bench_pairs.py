@@ -2,13 +2,14 @@
 """Run the benchmark in alternating parent/change pairs and summarize it.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload raster \\
-        --seed 11 --pairs 10 --seconds 10 --out BENCH_12.json
+        --seed 11 --seed 12 --pairs 10 --seconds 10 --out BENCH_12.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
 `git clone`s at the two commits).  For each workload the script runs
 `python3 bench/run.py --workload W --seed S --seconds T` once in each
 checkout per pair, unchanged and one process at a time: even pairs run the
-parent first, odd pairs the change first.  It refuses to run when the two
+parent first, odd pairs the change first.  Each `--seed` gets its own
+pairs.  It refuses to run when the two
 checkouts' benchmark files differ, because a comparison needs identical
 benchmark code on both sides.
 
@@ -16,8 +17,11 @@ The output JSON holds, per workload and per end-to-end metric of
 BENCHMARK.json, each side's median, quartiles and runs, the relative
 worsening of the change's median against its bound, and how many pairs the
 change won; each run's `correct`, `attempted` and `failed`; and provenance.
-When `--out` exists, its other keys (notes written by hand, workloads of an
-earlier invocation) are kept and only the workloads run now are replaced.
+One seed can show a gain that is the machine's run-to-run spread, so
+`gain_on_every_seed` holds, per workload and metric, whether the gain showed
+on every seed of this invocation.  When `--out` exists, its other keys
+(notes written by hand, workloads of an earlier invocation) are kept and
+only the workloads and seeds run now are replaced.
 """
 
 from __future__ import annotations
@@ -125,13 +129,20 @@ def summarize(runs: dict[str, list[dict]], declared: list[dict]) -> dict:
     }
 
 
+def gain_on_every_seed(summaries: list[dict]) -> dict[str, bool]:
+    """Per metric, whether each of `summarize`'s results shows a gain."""
+    return {name: all(summary["metrics"][name]["gain"] for summary in summaries)
+            for name in summaries[0]["metrics"]}
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True,
                         help="bench workload; repeat for several")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True,
+                        help="workload seed; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
@@ -161,6 +172,8 @@ def main(argv=None) -> int:
                               "for higher-is-better metrics; positive is worse",
         "gain": "change wins >= 9/10 of the pairs and the median gap, in the better "
                 "direction, exceeds the parent's interquartile range",
+        "gain_on_every_seed": "per workload and metric, the gain on every seed of the "
+                              "invocation that wrote it",
     }
     report["environment"] = {
         "python": platform.python_version(),
@@ -170,22 +183,28 @@ def main(argv=None) -> int:
         "bench_sha256": digests["change"],
     }
     workloads = report.setdefault("workloads", {})
+    every_seed = report.setdefault("gain_on_every_seed", {})
     for workload in args.workload:
-        runs = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
-            for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                result = run_bench(checkouts[side], workload, args.seed, args.seconds)
-                runs[side].append(result)
-                print(f"{workload} pair {pair} {side}: "
-                      f"wall_s {result['metrics']['wall_s']['value']:.4f} "
-                      f"correct {result['correct']}", flush=True)
-        summary = summarize(runs, declared)
-        summary["seed"], summary["seconds"], summary["pairs"] = args.seed, args.seconds, args.pairs
-        summary["revisions"] = {side: runs[side][0].get("git_revision") for side in SIDES}
-        workloads[f"{workload} seed {args.seed}"] = summary
-        # Written after each workload, so a later failure keeps the runs done.
-        args.out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n")
-        print(f"wrote {workload} to {args.out}", flush=True)
+        summaries = []
+        for seed in args.seed:
+            runs = {side: [] for side in SIDES}
+            for pair in range(args.pairs):
+                for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+                    result = run_bench(checkouts[side], workload, seed, args.seconds)
+                    runs[side].append(result)
+                    print(f"{workload} seed {seed} pair {pair} {side}: "
+                          f"wall_s {result['metrics']['wall_s']['value']:.4f} "
+                          f"correct {result['correct']}", flush=True)
+            summary = summarize(runs, declared)
+            summary["seed"], summary["seconds"], summary["pairs"] = seed, args.seconds, args.pairs
+            summary["revisions"] = {side: runs[side][0].get("git_revision") for side in SIDES}
+            workloads[f"{workload} seed {seed}"] = summary
+            summaries.append(summary)
+            every_seed[workload] = {"seeds": args.seed[:len(summaries)],
+                                    "metrics": gain_on_every_seed(summaries)}
+            # Written after each seed, so a later failure keeps the runs done.
+            args.out.write_text(json.dumps(report, indent=1, ensure_ascii=False) + "\n")
+            print(f"wrote {workload} seed {seed} to {args.out}", flush=True)
     return 0
 
 

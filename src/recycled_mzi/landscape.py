@@ -4,9 +4,12 @@
 fixed loss.  `loss_curve` locates the factor's maximum at each of a list of
 losses with a deterministic two-stage search: a coarse grid seed followed by
 compass (pattern) descent with a shrinking step from the best few grid
-cells.  The seeds of every loss step in one lockstep search, and a seed
-retires once its step falls below the tolerance, so the kernel calls follow
-the slowest loss rather than the sum over losses.  `maximize` is its one-loss
+cells.  The seeds of every loss search in lockstep, and a seed retires once
+its step falls below the tolerance, so the kernel calls follow the slowest
+loss rather than the sum over losses.  At a fixed step a seed can only move
+on its step lattice, so each kernel call evaluates a patch of that lattice
+ahead of every seed and resolves a whole stretch of its path: a ridge crawl
+of thousands of steps takes a few hundred calls.  `maximize` is its one-loss
 case.  No randomness anywhere, so results are reproducible bit for bit.
 
 The landscapes are symmetric under (phi, theta0) -> (2*pi-phi, 2*pi-theta0),
@@ -19,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResonantPoleError
 from .metrology import METRICS
 from .optics import check_loss
 
@@ -43,9 +47,16 @@ REFINE_SEEDS = 5
 TIE_RTOL = 1e-9
 
 # Compass directions of the four probes, +phi, -phi, +theta0, -theta0, as
-# (phi, theta0) components shaped to broadcast over (axis, row, probe).
+# (phi, theta0) components shaped to broadcast over (axis, probe, row).
 COMPASS = np.array([[1.0, -1.0, 0.0, 0.0],
-                    [0.0, 0.0, 1.0, -1.0]])[:, None, :]
+                    [0.0, 0.0, 1.0, -1.0]])[:, :, None]
+
+# Largest side of the patch of step lattice one kernel call evaluates ahead
+# of each searching row, and the kernel points a call aims at: the side
+# shrinks as sqrt(PATCH_POINTS / (4 * rows)), so long loss lists fall back
+# toward one step per call.
+PATCH = 12
+PATCH_POINTS = 3000
 
 
 @dataclass(frozen=True)
@@ -85,6 +96,9 @@ def _check_loss(loss: float) -> None:
 
 
 def _check_grid(n_phi: int, n_theta0: int) -> None:
+    for n in (n_phi, n_theta0):
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ParameterError(f"grid size must be an integer, got {n}")
     if n_phi < 2 or n_theta0 < 2:
         raise ParameterError("grid needs at least 2 points per axis")
     if n_phi * n_theta0 > MAX_GRID_POINTS:
@@ -117,52 +131,122 @@ def _seeds(metric_tag, loss, grid_seed, count):
     Only one grid is alive at a time: it is freed on return.
     """
     grid = sweep(metric_tag, loss, grid_seed, grid_seed)
-    # Stable row-major order makes equal cells rank lexicographically.
-    seeds = np.argsort(-grid.values.ravel(), kind="stable")[:count]
+    # Stable row-major order makes equal cells rank lexicographically.  Only
+    # the cells at or above the count-th best value need sorting.
+    negated = -grid.values.ravel()
+    kth = np.partition(negated, count - 1)[count - 1]
+    candidates = np.flatnonzero(negated <= kth)
+    seeds = candidates[np.argsort(negated[candidates], kind="stable")[:count]]
     i, j = np.divmod(seeds, grid_seed)
     return np.array([grid.phi_points[i], grid.theta0_points[j]]), grid.values[i, j]
+
+
+def _walk(kernel, pos, best, step, sign, loss, side):
+    """Resolve each row's compass steps across one side x side patch of its step lattice.
+
+    Row r's lattice runs from pos[:, r] along sign[:, r] (the direction of
+    its last move on each axis) in steps of step[r]: X = x, x+dx, (x+dx)+dx,
+    ... and Y likewise, the same sums single moves make.  One kernel call
+    evaluates the four COMPASS probes of every node.  A node links to its
+    +dx or +dy neighbour when that probe is the first-max probe and beats the
+    node's own value (best at the root, else the probe value that led to
+    it).  Pointer doubling finds where each row's chain of links ends; that
+    node's outcome, a move to its winning probe or a halved step, closes the
+    walk.  Returns the new pos, best, step and sign, and the iterations taken.
+    """
+    rows, nodes = best.size, side * side
+    lattice = pos[..., None]
+    if side > 1:
+        lattice = np.empty((2, rows, side))
+        lattice[..., 0] = pos
+        lattice[..., 1:] = (step * sign)[..., None]
+        np.add.accumulate(lattice, axis=2, out=lattice)
+    # probes[axis, probe, row, k] is the probe's coordinate from the k-th
+    # lattice point; adding step * (+-1 or 0) is exact.
+    probes = lattice[:, None] + (COMPASS * step)[..., None]
+    values = kernel(probes[0][..., None], probes[1][..., None, :], loss).reshape(4, rows, nodes)
+    # The first probe reaching the maximum, as argmax picks it.
+    gain = values.max(axis=0)
+    pick = np.where(values[0] == gain, 0,
+                    np.where(values[1] == gain, 1, np.where(values[2] == gain, 2, 3)))
+    if side > 1:
+        # Each non-root node's own value is the +dx probe of the node before
+        # it on the X axis, or on the first row the +dy probe of the one before.
+        forward = sign > 0.0
+        own = np.empty((rows, nodes))
+        own[:, 0] = best
+        own[:, side:] = np.where(forward[0, :, None], values[0, :, :-side], values[1, :, :-side])
+        own[:, 1:side] = np.where(forward[1, :, None], values[2, :, :side - 1],
+                                  values[3, :, :side - 1])
+        improve = gain > own
+        # Each node's link, as a flat index: its +dx or +dy neighbour inside
+        # the patch, or itself where the walk ends.
+        i, j = np.divmod(np.arange(nodes), side)
+        ahead = np.where(forward, [[0], [2]], [[1], [3]])
+        jump = ((pick == ahead[0, :, None]) * np.where(i < side - 1, side, 0)
+                + (pick == ahead[1, :, None]) * (j < side - 1))
+        root = np.arange(0, rows * nodes, nodes)
+        link = (root[:, None] + np.arange(nodes) + improve * jump).ravel()
+        # A chain has at most 2 * side - 2 links.
+        for _ in range(math.ceil(math.log2(2 * side - 1))):
+            link = link.take(link)
+        end = link[root]
+        i, j = np.divmod(end - root, side)
+        corner = np.arange(0, rows * side, side)
+        at = np.array([lattice[0].ravel().take(corner + i), lattice[1].ravel().take(corner + j)])
+    else:
+        # A one-node patch: the root's outcome is the whole walk.
+        own, improve, end, i, j, at = best, gain[:, 0] > best, np.arange(rows), 0, 0, pos
+    move, probe = improve.take(end), pick.take(end)
+    component = COMPASS[..., 0].take(probe, axis=1)
+    return (np.where(move, at + component * step, at),
+            np.where(move, gain.take(end), own.take(end)),
+            np.where(move, step, 0.5 * step),
+            np.where(move & (component != 0.0), component, sign),
+            i + j + 1)
 
 
 def _compass(kernel, pos, best, row_loss, step0, tol):
     """Lockstep compass search from every row; its final pos, best and iterations.
 
     Row r starts at (pos[0, r], pos[1, r]) = (phi, theta0) with value best[r]
-    at loss row_loss[r] and step step0.  Each iteration is one kernel call on
-    the four probes of every searching row.  A row whose step falls below tol
-    retires: its results are written back and it is never probed again.
+    at loss row_loss[r] and step step0.  Each kernel call resolves a stretch
+    of every searching row's path (`_walk`) on a patch whose side shrinks as
+    more rows search, so one call costs about PATCH_POINTS points.  A row
+    whose step falls below tol retires: its results are written back and it
+    is never probed again.
     """
     final_pos, final_best = np.empty_like(pos), np.empty_like(best)
     iterations = np.zeros(best.size, dtype=np.int64)
     active = np.arange(best.size)
     step = np.full(best.size, step0)
-    iteration = 0
+    sign = np.ones_like(pos)
+    taken = np.zeros(best.size, dtype=np.int64)
+    side = 0
     while True:
         done = step < tol
         # The first pass also sets up the per-row arguments.
-        if iteration == 0 or done.any():
+        if side == 0 or done.any():
             gone = active[done]
             final_pos[:, gone], final_best[gone] = pos[:, done], best[done]
-            iterations[gone] = iteration
+            iterations[gone] = taken[done]
             keep = ~done
             if not keep.any():
                 return final_pos, final_best, iterations
-            pos = pos[:, keep]
-            active, best, step, row_loss = (part[keep] for part in (active, best, step, row_loss))
-            offsets = 4 * np.arange(active.size)
-            # One loss per probe: operands of one shape keep numpy's ufuncs
-            # off the slower broadcasting path a (rows, 1) column takes.
-            probe_loss = np.repeat(row_loss[:, None], 4, axis=1)
-        iteration += 1
-        # Adding step * (+-1 or 0) is exact, so the probes are pos +- step.
-        probes = pos[:, :, None] + step[:, None] * COMPASS
-        values = kernel(probes[0], probes[1], probe_loss)
-        # argmax takes the first of equal probes.
-        pick = values.argmax(axis=1) + offsets
-        gain = values.take(pick)
-        improve = gain > best
-        pos = np.where(improve, probes.reshape(2, -1)[:, pick], pos)
-        best = np.where(improve, gain, best)
-        step = np.where(improve, step, 0.5 * step)
+            pos, sign = pos[:, keep], sign[:, keep]
+            active, best, step, taken, row_loss = (
+                part[keep] for part in (active, best, step, taken, row_loss))
+            side = max(1, min(PATCH, math.isqrt(PATCH_POINTS // (4 * active.size))))
+            loss = row_loss[:, None, None]
+        try:
+            pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, side)
+        except ResonantPoleError:
+            # A patch point off every row's path can lie inside the kernel's
+            # pole guard; one step per row probes only the path.
+            if side == 1:
+                raise
+            pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, 1)
+        taken += more
 
 
 def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
@@ -173,21 +257,30 @@ def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
     from its grid_seed x grid_seed `sweep`, one grid at a time, and refined
     from its best REFINE_SEEDS cells by compass search: probe one step along
     each axis, move to the best strictly improving probe, halve the step
-    otherwise, stop below tol.  The seeds of all losses step in lockstep,
-    one kernel call per iteration on the probes of the seeds still
-    searching; a seed whose step falls below tol retires and is never probed
-    again.  So the calls follow the slowest loss rather than the sum over
-    losses, and each seed follows the path it would follow alone.
-    `evaluations` counts the loss's coarse grid, the probes of its seeds and
-    the final re-evaluation.  Angles stay unwrapped during the search (the
-    factors are exactly periodic) and are wrapped into [0, 2*pi) for
-    reporting.
+    otherwise, stop below tol.  The seeds of all losses search in lockstep:
+    each kernel call evaluates a patch of the step lattice ahead of every
+    seed still searching and resolves a stretch of its path (`_walk`); a
+    seed whose step falls below tol retires and is never probed again.  So
+    the calls follow the slowest loss rather than the sum over losses, and
+    each seed makes the moves it would make alone, one step at a time.
+    `evaluations` counts the loss's coarse grid, the four probes of each step
+    on its seeds' paths and the final re-evaluation: the probes the search
+    reads, not the kernel points the patches spend.  Angles stay unwrapped
+    during the search (the factors are exactly periodic) and are wrapped into
+    [0, 2*pi) for reporting.
     """
-    losses = list(losses)
+    refused = "losses must be an iterable of numbers, got {!r}"
+    # A string is iterable, but its characters are not losses.
+    if isinstance(losses, (str, bytes)):
+        raise ParameterError(refused.format(losses))
+    try:
+        losses = list(losses)
+    except TypeError:
+        raise ParameterError(refused.format(losses)) from None
     _check_metric(metric_tag)
     for loss in losses:
         _check_loss(loss)
-    if not 1e-10 <= tol <= 1e-2:
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 1e-10 <= tol <= 1e-2:
         raise ParameterError(f"tol must lie in [1e-10, 1e-2], got {tol}")
     _check_grid(grid_seed, grid_seed)
     if not losses:

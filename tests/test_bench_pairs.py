@@ -89,3 +89,41 @@ def test_wide_spread_is_unresolved_unless_every_run_is_better():
 def test_unequal_pairs_refused():
     with pytest.raises(ValueError):
         bench_pairs.summarize(canned(PARENT_WALLS, PARENT_WALLS[:9]), DECLARED)
+
+
+def test_gain_must_show_on_every_seed():
+    faster = bench_pairs.summarize(canned(PARENT_WALLS, [w * 0.8 for w in PARENT_WALLS]), DECLARED)
+    inside = bench_pairs.summarize(canned(PARENT_WALLS, [w - 0.01 for w in PARENT_WALLS]), DECLARED)
+    assert bench_pairs.gain_on_every_seed([faster, faster])["wall_s"]
+    every = bench_pairs.gain_on_every_seed([faster, inside])
+    assert set(every) == {spec["name"] for spec in DECLARED}
+    assert not every["wall_s"] and not every["items_per_s"]
+
+
+def test_each_seed_runs_its_own_pairs(monkeypatch, tmp_path):
+    checkouts = {}
+    for side in bench_pairs.SIDES:
+        checkouts[side] = tmp_path / side
+        checkouts[side].mkdir()
+        (checkouts[side] / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    ran = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        ran.append(seed)
+        # The change is faster at seed 1 only.
+        wall = 0.5 if checkout == checkouts["change"] and seed == 1 else 1.0
+        return result(wall, 480_000 / wall)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "bench_digest", lambda checkout: "same")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(checkouts["parent"]), str(checkouts["change"]),
+                             "--workload", "raster", "--seed", "1", "--seed", "2",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    assert ran == [1] * 4 + [2] * 4
+    report = json.loads(out.read_text())
+    assert set(report["workloads"]) == {"raster seed 1", "raster seed 2"}
+    assert report["workloads"]["raster seed 1"]["metrics"]["wall_s"]["gain"]
+    assert report["workloads"]["raster seed 2"]["metrics"]["wall_s"]["change_wins"] == "0/2"
+    assert report["gain_on_every_seed"]["raster"]["seeds"] == [1, 2]
+    assert not report["gain_on_every_seed"]["raster"]["metrics"]["wall_s"]

@@ -6,6 +6,7 @@ import pytest
 from recycled_mzi import (
     LoopParameters,
     ParameterError,
+    ResonantPoleError,
     lambda1_values,
     lambda2_values,
     lambda3_values,
@@ -116,6 +117,9 @@ class TestSweep:
         {"metric_tag": "lambda1", "loss": 0.1, "n_phi": 1, "n_theta0": 10},
         {"metric_tag": "lambda1", "loss": 0.1, "n_phi": 20000, "n_theta0": 20000},
         {"metric_tag": "lambda1", "loss": np.array([0.1, 0.2]), "n_phi": 10, "n_theta0": 10},
+        {"metric_tag": "lambda1", "loss": 0.5, "n_phi": 2.5, "n_theta0": 2},
+        {"metric_tag": "lambda1", "loss": 0.5, "n_phi": 10, "n_theta0": 10.0},
+        {"metric_tag": "lambda1", "loss": 0.5, "n_phi": True, "n_theta0": 10},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
@@ -189,6 +193,12 @@ class TestMaximize:
         # 10**10 coarse cells: refused by the sweep size cap.
         {"metric_tag": "lambda1", "loss": 0.1, "grid_seed": 100000},
         {"metric_tag": "lambda1", "loss": np.array([0.1, 0.2])},
+        {"metric_tag": "lambda1", "loss": 0.5, "grid_seed": 3.5},
+        {"metric_tag": "lambda1", "loss": 0.5, "grid_seed": True},
+        {"metric_tag": "lambda1", "loss": 0.5, "tol": None},
+        {"metric_tag": "lambda1", "loss": 0.5, "tol": True},
+        {"metric_tag": "lambda1", "loss": 0.5, "tol": "1e-3"},
+        {"metric_tag": "lambda1", "loss": 0.5, "tol": 1e-3j},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
@@ -255,6 +265,12 @@ class TestLossCurve:
         ({"metric_tag": "nope"}, "unknown metric"),
         ({"grid_seed": 1}, "at least 2"),
         ({"grid_seed": 100000}, "exceeds"),
+        ({"grid_seed": 3.5}, "integer"),
+        ({"tol": None}, "tol"),
+        ({"losses": 0.5}, "iterable"),
+        # A string would otherwise be read character by character.
+        ({"losses": "0.5"}, "iterable"),
+        ({"losses": np.array(0.5)}, "iterable"),
     ])
     def test_checks_every_argument_before_any_grid(self, monkeypatch, kwargs, match):
         monkeypatch.setattr(landscape, "sweep",
@@ -264,6 +280,21 @@ class TestLossCurve:
 
     def test_empty_list(self):
         assert loss_curve("lambda1", []) == []
+
+
+class TestSeeds:
+    # Peaked landscapes, and lambda2 at L = 1, where every cell ties.
+    @pytest.mark.parametrize("metric, loss, grid_seed", [
+        ("lambda1", 0.1, 60), ("lambda3", 0.05, 200), ("lambda2", 1.0, 200),
+        ("lambda2", 1.0, 2), ("lambda1", 1.0, 100)])
+    def test_match_full_stable_argsort(self, metric, loss, grid_seed):
+        grid = sweep(metric, loss, grid_seed, grid_seed)
+        count = min(landscape.REFINE_SEEDS, grid_seed * grid_seed)
+        order = np.argsort(-grid.values.ravel(), kind="stable")[:count]
+        i, j = np.divmod(order, grid_seed)
+        pos, best = landscape._seeds(metric, loss, grid_seed, count)
+        np.testing.assert_array_equal(pos, [grid.phi_points[i], grid.theta0_points[j]])
+        np.testing.assert_array_equal(best, grid.values[i, j])
 
 
 # Loss lists against one scalar search per loss.
@@ -277,13 +308,16 @@ CURVE_CASES = [
     ([0.1, 0.01, 1.0], 700, 1e-2),
     # A tol the halved step hits exactly.
     ([1.0, 0.1, 0.35], 7, TWO_PI / 7 / 2**7),
+    # Small losses: every seed crawls a ridge for thousands of steps.
+    ([0.01, 0.02], 200, 1e-6),
 ]
 
 
 class TestLockstepCurve:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("losses, grid_seed, tol", CURVE_CASES,
-                             ids=["unsorted", "tol-1e-8", "grid-2", "no-iteration", "exact-tol"])
+                             ids=["unsorted", "tol-1e-8", "grid-2", "no-iteration", "exact-tol",
+                                  "small-loss-crawl"])
     def test_matches_scalar_compass_per_loss(self, metric, losses, grid_seed, tol):
         assert (loss_curve(metric, losses, grid_seed=grid_seed, tol=tol)
                 == [scalar_compass_maximize(metric, loss, grid_seed=grid_seed, tol=tol)
@@ -292,31 +326,73 @@ class TestLockstepCurve:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_kernel_work_follows_the_slowest_loss(self, monkeypatch, metric):
         kernel = METRICS[metric]
-        points = []
+        shapes = []
 
         def counted(phi, theta0, loss):
-            points.append(np.broadcast(phi, theta0, loss).size)
+            shapes.append(np.broadcast(phi, theta0, loss).shape)
             return kernel(phi, theta0, loss)
 
         monkeypatch.setitem(METRICS, metric, counted)
 
         def run(losses):
-            points.clear()
+            shapes.clear()
             records = loss_curve(metric, losses, grid_seed=20, tol=1e-6)
-            return records, len(points), sum(points)
+            return records, list(shapes)
 
         losses = [0.2, 0.05, 0.5, 0.05, 0.1]
         alone = [run([loss]) for loss in losses]
-        records, calls, total = run(losses)
-        assert records == [one for (one,), _, _ in alone]
-        # One call per seed grid, one per final re-evaluation, and one per
-        # iteration of the longest search: a loss alone makes 2 + its own.
-        iterations = [one_calls - 2 for _, one_calls, _ in alone]
-        assert calls == 2 * len(losses) + max(iterations)
-        assert calls < sum(one_calls for _, one_calls, _ in alone)
-        # No probe of a retired seed is evaluated.
-        assert total == sum(record.evaluations for record in records)
-        assert all(one_total == one.evaluations for (one,), _, one_total in alone)
+        records, calls = run(losses)
+        assert records == [one for (one,), _ in alone]
+        # One seed grid per loss, then the compass calls, each on the
+        # (probe, row, node, node) patch of the rows still searching, then
+        # one re-evaluation per loss.
+        assert calls[:len(losses)] == [(20, 20)] * len(losses)
+        assert calls[-len(losses):] == [()] * len(losses)
+        compass = calls[len(losses):-len(losses)]
+        assert all(len(shape) == 4 and shape[1] >= 1 for shape in compass)
+        # Every row of every call takes at least one step, so no call probes
+        # a retired seed or comes after the last one retires.
+        steps = [(record.evaluations - 20 * 20 - 1) // 4 for record in records]
+        assert sum(shape[1] for shape in compass) <= sum(steps)
+        # These are ridge crawls of hundreds of steps; the slowest seed of a
+        # loss takes at least the mean of its REFINE_SEEDS seeds.
+        longest = max(steps) / landscape.REFINE_SEEDS
+        assert longest > 300
+        assert len(compass) < longest / 3
+        assert len(compass) < sum(len(one_calls) - 2 for _, one_calls in alone)
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_pole_in_a_patch_retries_one_step(self, monkeypatch, metric):
+        """A patch point inside the kernel's pole guard makes that call take
+        one step per row; the records stay those of the search alone."""
+        losses, kwargs = [0.2, 0.05, 0.1], {"grid_seed": 20, "tol": 1e-6}
+        expected = loss_curve(metric, losses, **kwargs)
+        kernel = METRICS[metric]
+        refused = []
+
+        def guarded(phi, theta0, loss):
+            shape = np.broadcast(phi, theta0, loss).shape
+            if len(shape) == 4 and shape[2] > 1:
+                refused.append(shape)
+                raise ResonantPoleError("patch point inside the pole guard")
+            return kernel(phi, theta0, loss)
+
+        monkeypatch.setitem(METRICS, metric, guarded)
+        assert loss_curve(metric, losses, **kwargs) == expected
+        assert refused
+
+    def test_pole_on_the_path_still_raises(self, monkeypatch):
+        kernel = METRICS["lambda1"]
+
+        def guarded(phi, theta0, loss):
+            # Every compass call, the one-step retry included.
+            if np.ndim(phi) == 4:
+                raise ResonantPoleError("a probe on the path")
+            return kernel(phi, theta0, loss)
+
+        monkeypatch.setitem(METRICS, "lambda1", guarded)
+        with pytest.raises(ResonantPoleError, match="on the path"):
+            loss_curve("lambda1", [0.1], grid_seed=20, tol=1e-6)
 
 
 def lambda3_argmax(loss):

