@@ -170,8 +170,9 @@ def _walk(kernel, pos, best, step, sign, loss, side):
     pick = np.where(values[0] == gain, 0,
                     np.where(values[1] == gain, 1, np.where(values[2] == gain, 2, 3)))
     if side > 1:
-        # Each non-root node's own value is the +dx probe of the node before
-        # it on the X axis, or on the first row the +dy probe of the one before.
+        # Node (i, j) is n = i * side + j.  Its own value is the +dx probe of
+        # node (i - 1, j), or for i = 0 the +dy probe of node (0, j - 1):
+        # either way into the node evaluates the same point.
         forward = sign > 0.0
         own = np.empty((rows, nodes))
         own[:, 0] = best
@@ -181,12 +182,12 @@ def _walk(kernel, pos, best, step, sign, loss, side):
         improve = gain > own
         # Each node's link, as a flat index: its +dx or +dy neighbour inside
         # the patch, or itself where the walk ends.
-        i, j = np.divmod(np.arange(nodes), side)
+        node = np.arange(nodes)
         ahead = np.where(forward, [[0], [2]], [[1], [3]])
-        jump = ((pick == ahead[0, :, None]) * np.where(i < side - 1, side, 0)
-                + (pick == ahead[1, :, None]) * (j < side - 1))
+        jump = ((pick == ahead[0, :, None]) * np.where(node < nodes - side, side, 0)
+                + (pick == ahead[1, :, None]) * (node % side < side - 1))
         root = np.arange(0, rows * nodes, nodes)
-        link = (root[:, None] + np.arange(nodes) + improve * jump).ravel()
+        link = (root[:, None] + node + improve * jump).ravel()
         # A chain has at most 2 * side - 2 links.
         for _ in range(math.ceil(math.log2(2 * side - 1))):
             link = link.take(link)
