@@ -9,9 +9,8 @@ PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
 `python3 bench/run.py --workload W --seed S --seconds T` once in each
 checkout per pair, unchanged and one process at a time: even pairs run the
 parent first, odd pairs the change first.  Each `--seed` gets its own
-pairs.  It refuses to run when the two
-checkouts' benchmark files differ, because a comparison needs identical
-benchmark code on both sides.
+pairs.  It refuses to run when the two checkouts' benchmark files differ,
+because a comparison needs identical benchmark code on both sides.
 
 The output JSON holds, per workload and per end-to-end metric of
 BENCHMARK.json, each side's median, quartiles and runs, the relative

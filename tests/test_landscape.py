@@ -354,11 +354,11 @@ class TestLockstepCurve:
         # a retired seed or comes after the last one retires.
         steps = [(record.evaluations - 20 * 20 - 1) // 4 for record in records]
         assert sum(shape[1] for shape in compass) <= sum(steps)
-        # These are ridge crawls of hundreds of steps; the slowest seed of a
-        # loss takes at least the mean of its REFINE_SEEDS seeds.
-        longest = max(steps) / landscape.REFINE_SEEDS
-        assert longest > 300
-        assert len(compass) < longest / 3
+        # These are ridge crawls of hundreds of steps.  The longest search
+        # takes at least the mean over the seeds of the slowest loss.
+        slowest_mean = max(steps) / landscape.REFINE_SEEDS
+        assert slowest_mean > 300
+        assert len(compass) < slowest_mean / 3
         assert len(compass) < sum(len(one_calls) - 2 for _, one_calls in alone)
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
