@@ -213,9 +213,9 @@ def _compass(kernel, pos, best, row_loss, step0, tol):
     Row r starts at (pos[0, r], pos[1, r]) = (phi, theta0) with value best[r]
     at loss row_loss[r] and step step0.  Each kernel call resolves a stretch
     of every searching row's path (`_walk`) on a patch whose side shrinks as
-    more rows search, so one call costs about PATCH_POINTS points.  A row
-    whose step falls below tol retires: its results are written back and it
-    is never probed again.
+    more rows search: a call costs at most PATCH_POINTS points, unless one
+    step per row already costs more.  A row whose step falls below tol
+    retires: its results are written back and it is never probed again.
     """
     final_pos, final_best = np.empty_like(pos), np.empty_like(best)
     iterations = np.zeros(best.size, dtype=np.int64)
