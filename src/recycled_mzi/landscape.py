@@ -310,8 +310,9 @@ def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
         # Report the value at the wrapped maximizer so that re-evaluating the
         # factor there reproduces lambda_max exactly.
         lambda_max = float(kernel(phi_star, theta0_star, loss))
-        evaluations = grid_seed * grid_seed + 4 * int(iterations[rows].sum()) + 1
-        records.append(OptimumRecord(loss=loss, metric_tag=metric_tag,
+        # Plain Python numbers, whatever number types the caller passed.
+        evaluations = int(grid_seed) ** 2 + 4 * int(iterations[rows].sum()) + 1
+        records.append(OptimumRecord(loss=float(loss), metric_tag=metric_tag,
                                      lambda_max=lambda_max, phi_star=phi_star,
                                      theta0_star=theta0_star, evaluations=evaluations))
     return records

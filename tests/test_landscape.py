@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -280,6 +282,14 @@ class TestLossCurve:
 
     def test_empty_list(self):
         assert loss_curve("lambda1", []) == []
+
+    @pytest.mark.parametrize("loss, grid_seed", [(0.1, np.int64(20)), (np.float32(0.25), 20)])
+    def test_records_hold_plain_numbers(self, loss, grid_seed):
+        (record,) = loss_curve("lambda2", [loss], grid_seed=grid_seed, tol=1e-4)
+        assert type(record.loss) is float
+        assert type(record.evaluations) is int
+        json.dumps(dataclasses.asdict(record))
+        assert record == maximize("lambda2", float(loss), grid_seed=int(grid_seed), tol=1e-4)
 
 
 class TestSeeds:
