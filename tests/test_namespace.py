@@ -13,7 +13,6 @@ import pytest
 import recycled_mzi
 
 SRC = Path(recycled_mzi.__file__).resolve().parents[1]
-MODEL_MODULES = ("cli", "landscape", "loop", "metrology", "optics", "verification")
 PUBLIC = [
     "ConvergenceError", "LoopParameters", "MeritReport", "ModelError", "OptimumRecord",
     "ParameterError", "RecycledCoefficients", "ResonantPoleError", "SweepGrid", "cascade",
@@ -39,9 +38,9 @@ def test_import_loads_neither_numpy_nor_the_model():
         "import recycled_mzi\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
+    # None of cli, landscape, loop, metrology, optics or verification.
     assert [name for name in loaded if name.startswith("recycled_mzi")] == [
         "recycled_mzi", "recycled_mzi.errors"]
-    assert not {f"recycled_mzi.{name}" for name in MODEL_MODULES} & set(loaded)
 
 
 def test_submodule_is_an_attribute_after_a_bare_import():
