@@ -15,7 +15,9 @@ because a comparison needs identical benchmark code on both sides.
 The output JSON holds, per workload and per end-to-end metric of
 BENCHMARK.json, each side's median, quartiles and runs, the relative
 worsening of the change's median against its bound, and how many pairs the
-change won; each run's `correct`, `attempted` and `failed`; and provenance.
+change won; each run's `correct`, `attempted` and `failed`; and provenance,
+including the timing-relevant environment variables the runs inherit
+(`null` when unset).
 One seed can show a gain that is the machine's run-to-run spread, so
 `gain_on_every_seed` holds, per workload and metric, whether the gain showed
 on every seed of this invocation.  When `--out` exists, its other keys
@@ -43,6 +45,9 @@ SIDES = ("parent", "change")
 BENCH_FILES = ("BENCHMARK.json", "bench/run.py", "bench/workloads.py", "bench/tracing.py",
                "bench/golden.json")
 RUN_TIMEOUT_S = 1800
+# Environment variables that both sides' children inherit and that move
+# their timings: BLAS and OpenMP thread counts, and bytecode caching.
+TIMING_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
 
 
 def bench_digest(checkout: Path) -> str:
@@ -180,6 +185,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "bench_sha256": digests["change"],
+        "variables": {name: os.environ.get(name) for name in TIMING_VARIABLES},
     }
     workloads = report.setdefault("workloads", {})
     every_seed = report.setdefault("gain_on_every_seed", {})

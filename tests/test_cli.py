@@ -19,6 +19,8 @@ from recycled_mzi.errors import ModelError
 from recycled_mzi.landscape import MAX_GRID_POINTS, SweepGrid, sweep
 from recycled_mzi.metrology import METRICS
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -460,6 +462,25 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["lambda3"] > 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    *(("sweep", "--metric", metric, "--loss", "0.1", "--n-phi", "24", "--n-theta0", "17")
+      for metric in sorted(METRICS)),
+    *(("optimize", "--metric", "lambda1", "--losses", "0.05,0.2", "--format", form)
+      for form in ("csv", "json")),
+])
+def test_module_entry_prints_the_bytes_of_main(capsys, argv):
+    # The golden digests run main() in this process; this runs the entry
+    # module, with its own start-up, in a new one.
+    code, out, err = run_cli(capsys, *argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    entry = subprocess.run([sys.executable, "-m", "recycled_mzi", *argv], env=env,
+                           capture_output=True)
+    assert code == entry.returncode == 0
+    assert err == "" and entry.stderr == b""
+    assert entry.stdout == out.encode()
 
 
 class TestDeterminism:

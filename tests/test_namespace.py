@@ -21,11 +21,17 @@ PUBLIC = [
 ]
 
 
-def fresh_python(code: str):
+def fresh_python(code: str, **variables):
     """Run `code` in a new interpreter that imports this copy of the package;
-    return the JSON it prints."""
+    return the JSON it prints.  Each keyword sets an environment variable of
+    that interpreter, or unsets it when None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     return json.loads(result.stdout)
@@ -78,3 +84,32 @@ def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         recycled_mzi.no_such_name
     assert not hasattr(recycled_mzi, "numpy")
+
+
+THREADS_AFTER_NUMPY = (
+    "import json, os\n"
+    "import {module}\n"
+    "import numpy\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n")
+
+
+def test_cli_entry_runs_openblas_on_one_thread():
+    value, tasks = fresh_python(THREADS_AFTER_NUMPY.format(module="recycled_mzi.__main__"),
+                                OPENBLAS_NUM_THREADS=None)
+    assert value == "1"
+    if tasks is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert tasks == 1
+
+
+def test_cli_entry_keeps_a_thread_count_the_caller_set():
+    value, _ = fresh_python(THREADS_AFTER_NUMPY.format(module="recycled_mzi.__main__"),
+                            OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+
+
+def test_library_import_leaves_the_environment_alone():
+    value, _ = fresh_python(THREADS_AFTER_NUMPY.format(module="recycled_mzi.cli"),
+                            OPENBLAS_NUM_THREADS=None)
+    assert value is None
