@@ -236,6 +236,77 @@ def test_sweep_csv_formats_any_grid_like_per_cell(data, n_phi, n_theta0):
     assert "".join(cli.sweep_csv(grid)) == per_cell_sweep_csv(grid)
 
 
+def percent_texts(values):
+    return [(cli.NUMBER_FORMAT % value).encode("ascii") for value in values.tolist()]
+
+
+class TestFormatValues:
+    """`cli.format_values` against `%`, value by value."""
+
+    def test_million_doubles_across_the_fast_path(self):
+        # [1e-8, 1e13] holds the fast path [1e-4, 1e12) and both its edges.
+        values = 10.0 ** np.random.default_rng(20).uniform(-8.0, 13.0, 1_000_000)
+        assert cli.format_values(values) == percent_texts(values)
+
+    def test_halves_at_every_digit(self):
+        # (n + 1/2) * 10**-j and the doubles either side: exact decimal
+        # halves, and values a hair off a half that the scaling to 12 digits
+        # can round onto it.
+        rng = np.random.default_rng(21)
+        n = rng.integers(0, 10**12, 100_000).astype(np.float64)
+        j = rng.integers(0, 20, 100_000)
+        halves = (n + 0.5) * 10.0 ** -j.astype(np.float64)
+        values = np.concatenate([halves, np.nextafter(halves, 0.0),
+                                 np.nextafter(halves, np.inf)])
+        assert cli.format_values(values) == percent_texts(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-8, 15)
+        below = np.nextafter(powers, 0.0)
+        above = np.nextafter(powers, np.inf)
+        values = np.concatenate([powers, below, np.nextafter(below, 0.0),
+                                 above, np.nextafter(above, np.inf)])
+        assert cli.format_values(values) == percent_texts(values)
+
+    def test_values_off_the_fast_path(self):
+        values = np.array([0.0, -0.0, 5e-324, -2.5e-310, -3.0, 1e12, 999999999999.5,
+                           9.99999999999995e-5, 123456789012.5, 1e300, np.inf, -np.inf,
+                           np.nan])
+        assert cli.format_values(values) == percent_texts(values)
+
+    def test_few_values_take_the_per_value_route(self, monkeypatch):
+        # On a landscape only zeros and round-off specks (~1e-16) should
+        # leave the fast path; this fails if it silently stops covering most.
+        class CountingFormat(str):
+            calls = 0
+
+            def __mod__(self, value):
+                CountingFormat.calls += 1
+                return str.__mod__(self, value)
+
+        monkeypatch.setattr(cli, "NUMBER_FORMAT", CountingFormat(cli.NUMBER_FORMAT))
+        grid = sweep("lambda1", 0.2, 400, 400)
+        cli.format_values(grid.values.ravel())
+        assert 0 < CountingFormat.calls <= 0.01 * grid.values.size
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("loss", [1e-4, 1e-3, 0.05, 0.5, 1.0])
+    def test_landscapes_match_per_cell_text(self, metric, loss):
+        # 257 values a row: 15 rows a block, so nine blocks, the last of 10 rows.
+        grid = sweep(metric, loss, 130, 257)
+        chunks = list(cli.sweep_csv(grid))
+        assert len(chunks) == 1 + 130
+        assert "".join(chunks) == per_cell_sweep_csv(grid)
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 35])
+    def test_block_size_changes_no_byte(self, monkeypatch, block):
+        grid = sweep("lambda2", 0.3, 9, 7)
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", block)
+        chunks = list(cli.sweep_csv(grid))
+        assert len(chunks) == 1 + 9
+        assert "".join(chunks) == per_cell_sweep_csv(grid)
+
+
 # Axis sizes: refused ones (negative, 0, 1), accepted ones up to 30, and ones
 # that take the grid over MAX_GRID_POINTS with any other accepted axis.
 axis_sizes = st.integers(-3, 30) | st.integers(MAX_GRID_POINTS // 2 + 1, 10**12)
@@ -462,6 +533,102 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["lambda3"] > 1.0
+
+
+def entry_env(unbuffered=True):
+    """The environment of an entry-module child: this copy of the package,
+    with or without PYTHONUNBUFFERED."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# The entry module leaves by os._exit after flushing the standard streams.
+# Each exit code, and what each stream carries, must be those of a normal exit.
+FORCED_FAILURE = ("import runpy, sys\n"
+                  "from recycled_mzi import verification\n"
+                  "verification.ORACLE_TOL = -1.0\n"
+                  "sys.argv = ['recycled-mzi', 'verify', '--points', '20']\n"
+                  "runpy.run_module('recycled_mzi', run_name='__main__')\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_module_entry_exit_codes_and_streams(tmp_path, unbuffered):
+    env = entry_env(unbuffered)
+    entry = [sys.executable, "-m", "recycled_mzi"]
+    target = tmp_path / "sweep.csv"
+    done = subprocess.run([*entry, "sweep", "--metric", "lambda3", "--loss", "0.2", "--n", "30",
+                           "--out", str(target)], env=env, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_text().count("\n") == 1 + 30 * 30
+
+    failed = subprocess.run([sys.executable, "-c", FORCED_FAILURE], env=env,
+                            capture_output=True, text=True)
+    assert failed.returncode == 1
+    assert failed.stdout.endswith("verification FAILED\n")
+    assert "FAIL" in failed.stdout.splitlines()[0]
+    assert failed.stderr == ""
+
+    refused = subprocess.run([*entry, "point", "--phi", "1", "--theta0", "0", "--loss", "1.5"],
+                             env=env, capture_output=True, text=True)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert len(refused.stderr.splitlines()) == 1
+    assert json.loads(refused.stderr)["error"] == "ParameterError"
+
+    usage = subprocess.run([*entry, "sweep", "--metric", "lambda9", "--loss", "0.1"],
+                           env=env, capture_output=True, text=True)
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert "invalid choice: 'lambda9'" in usage.stderr
+    assert "Traceback" not in usage.stderr
+
+
+BROKEN_PIPE = '{"error": "BrokenPipeError", "reason": "[Errno 32] Broken pipe"}'
+# What the interpreter prints when its own last flush of stdout fails.
+UNFLUSHED_STDOUT = ["Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                    "encoding='utf-8'>", "BrokenPipeError: [Errno 32] Broken pipe"]
+LARGE_SWEEP = ("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "400")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_module_entry_into_a_pipe_closed_after_one_line(unbuffered):
+    # `recycled-mzi sweep ... | head -1`.
+    child = subprocess.Popen([sys.executable, "-m", "recycled_mzi", *LARGE_SWEEP],
+                             env=entry_env(unbuffered), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"phi,theta0,value\n"
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) in (2, 120)
+    if unbuffered or child.returncode == 2:
+        assert (child.returncode, stderr.splitlines()) == (2, [BROKEN_PIPE])
+    else:
+        # With buffered stdout, a closed pipe can strand the tail of a row
+        # in the buffer; the interpreter's final flush then reports it and
+        # exits 120, as it does without the fast exit.
+        assert stderr.splitlines() == [BROKEN_PIPE, *UNFLUSHED_STDOUT]
+
+
+@pytest.mark.parametrize("unbuffered,code,lines", [
+    (True, 2, [BROKEN_PIPE]),
+    (False, 120, [BROKEN_PIPE, *UNFLUSHED_STDOUT]),
+])
+def test_module_entry_into_a_pipe_closed_before_it_starts(unbuffered, code, lines):
+    # Buffered, the header waits in the buffer when the first write fails,
+    # so the flush before the fast exit fails as well: the normal exit must
+    # then report it.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "recycled_mzi", *LARGE_SWEEP],
+                               env=entry_env(unbuffered), stdout=write_end,
+                               stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr.splitlines()) == (code, lines)
 
 
 @pytest.mark.parametrize("argv", [
