@@ -586,10 +586,21 @@ def test_module_entry_exit_codes_and_streams(tmp_path, unbuffered):
 
 
 BROKEN_PIPE = '{"error": "BrokenPipeError", "reason": "[Errno 32] Broken pipe"}'
-# What the interpreter prints when its own last flush of stdout fails.
-UNFLUSHED_STDOUT = ["Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-                    "encoding='utf-8'>", "BrokenPipeError: [Errno 32] Broken pipe"]
 LARGE_SWEEP = ("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "400")
+
+
+def check_broken_pipe(code, stderr, stranded):
+    """`main`'s one-line reason and exit 2; or, when bytes were left in
+    stdout's buffer, that line, then the interpreter's report of its own
+    failed last flush and exit 120."""
+    lines = stderr.splitlines()
+    assert lines[0] == BROKEN_PIPE
+    if not stranded:
+        assert (code, lines[1:]) == (2, [])
+        return
+    assert code == 120
+    assert lines[1].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert lines[2:] == ["BrokenPipeError: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -602,21 +613,14 @@ def test_module_entry_into_a_pipe_closed_after_one_line(unbuffered):
     child.stdout.close()
     stderr = child.stderr.read().decode()
     child.stderr.close()
-    assert child.wait(timeout=60) in (2, 120)
-    if unbuffered or child.returncode == 2:
-        assert (child.returncode, stderr.splitlines()) == (2, [BROKEN_PIPE])
-    else:
-        # With buffered stdout, a closed pipe can strand the tail of a row
-        # in the buffer; the interpreter's final flush then reports it and
-        # exits 120, as it does without the fast exit.
-        assert stderr.splitlines() == [BROKEN_PIPE, *UNFLUSHED_STDOUT]
+    code = child.wait(timeout=60)
+    # With buffered stdout the reader can leave while the tail of a row
+    # waits in the buffer, as it can without the fast exit.
+    check_broken_pipe(code, stderr, stranded=not unbuffered and code == 120)
 
 
-@pytest.mark.parametrize("unbuffered,code,lines", [
-    (True, 2, [BROKEN_PIPE]),
-    (False, 120, [BROKEN_PIPE, *UNFLUSHED_STDOUT]),
-])
-def test_module_entry_into_a_pipe_closed_before_it_starts(unbuffered, code, lines):
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_module_entry_into_a_pipe_closed_before_it_starts(unbuffered):
     # Buffered, the header waits in the buffer when the first write fails,
     # so the flush before the fast exit fails as well: the normal exit must
     # then report it.
@@ -628,7 +632,7 @@ def test_module_entry_into_a_pipe_closed_before_it_starts(unbuffered, code, line
                                stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
-    assert (child.returncode, child.stderr.splitlines()) == (code, lines)
+    check_broken_pipe(child.returncode, child.stderr, stranded=not unbuffered)
 
 
 @pytest.mark.parametrize("argv", [
