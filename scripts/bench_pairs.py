@@ -46,8 +46,10 @@ BENCH_FILES = ("BENCHMARK.json", "bench/run.py", "bench/workloads.py", "bench/tr
                "bench/golden.json")
 RUN_TIMEOUT_S = 1800
 # Environment variables that both sides' children inherit and that move
-# their timings: BLAS and OpenMP thread counts, and bytecode caching.
-TIMING_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
+# their timings: BLAS and OpenMP thread counts, bytecode caching, and
+# unbuffered standard streams (one write call per chunk of stdout).
+TIMING_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE",
+                    "PYTHONUNBUFFERED")
 
 
 def bench_digest(checkout: Path) -> str:

@@ -330,9 +330,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    # An unwritable --out path is a usage error like a domain error.
+        code = args.handler(args)
+        # What is still buffered belongs to this command: a reader that has
+        # gone fails it here, like any other write.
+        sys.stdout.flush()
+        return code
+    # An unwritable --out path or stdout is a usage error like a domain error.
     except (ModelError, OSError) as exc:
+        # A broken pipe is stdout's: --out is written through a temp file.
+        # The bytes the failed write left in stdout's buffer would fail again
+        # at the interpreter's last flush, which exits 120: send them to
+        # os.devnull instead.
+        if isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}),
               file=sys.stderr)
         return EXIT_USAGE

@@ -152,15 +152,15 @@ def _walk(kernel, pos, best, step, sign, loss, side):
     node's own value (best at the root, else the probe value that led to
     it).  Pointer doubling finds where each row's chain of links ends; that
     node's outcome, a move to its winning probe or a halved step, closes the
-    walk.  Returns the new pos, best, step and sign, and the iterations taken.
+    walk.  At side 1 the root is the whole patch: it has no links, so the
+    walk is one compass step.  Returns the new pos, best, step and sign, and
+    the iterations taken.
     """
     rows, nodes = best.size, side * side
-    lattice = pos[..., None]
-    if side > 1:
-        lattice = np.empty((2, rows, side))
-        lattice[..., 0] = pos
-        lattice[..., 1:] = (step * sign)[..., None]
-        np.add.accumulate(lattice, axis=2, out=lattice)
+    lattice = np.empty((2, rows, side))
+    lattice[..., 0] = pos
+    lattice[..., 1:] = (step * sign)[..., None]
+    np.add.accumulate(lattice, axis=2, out=lattice)
     # probes[axis, probe, row, k] is the probe's coordinate from the k-th
     # lattice point; adding step * (+-1 or 0) is exact.
     probes = lattice[:, None] + (COMPASS * step)[..., None]
@@ -169,35 +169,31 @@ def _walk(kernel, pos, best, step, sign, loss, side):
     gain = values.max(axis=0)
     pick = np.where(values[0] == gain, 0,
                     np.where(values[1] == gain, 1, np.where(values[2] == gain, 2, 3)))
-    if side > 1:
-        # Node (i, j) is n = i * side + j.  Its own value is the +dx probe of
-        # node (i - 1, j), or for i = 0 the +dy probe of node (0, j - 1):
-        # either way into the node evaluates the same point.
-        forward = sign > 0.0
-        own = np.empty((rows, nodes))
-        own[:, 0] = best
-        own[:, side:] = np.where(forward[0, :, None], values[0, :, :-side], values[1, :, :-side])
-        own[:, 1:side] = np.where(forward[1, :, None], values[2, :, :side - 1],
-                                  values[3, :, :side - 1])
-        improve = gain > own
-        # Each node's link, as a flat index: its +dx or +dy neighbour inside
-        # the patch, or itself where the walk ends.
-        node = np.arange(nodes)
-        ahead = np.where(forward, [[0], [2]], [[1], [3]])
-        jump = ((pick == ahead[0, :, None]) * np.where(node < nodes - side, side, 0)
-                + (pick == ahead[1, :, None]) * (node % side < side - 1))
-        root = np.arange(0, rows * nodes, nodes)
-        link = (root[:, None] + node + improve * jump).ravel()
-        # A chain has at most 2 * side - 2 links.
-        for _ in range(math.ceil(math.log2(2 * side - 1))):
-            link = link.take(link)
-        end = link[root]
-        i, j = np.divmod(end - root, side)
-        corner = np.arange(0, rows * side, side)
-        at = np.array([lattice[0].ravel().take(corner + i), lattice[1].ravel().take(corner + j)])
-    else:
-        # A one-node patch: the root's outcome is the whole walk.
-        own, improve, end, i, j, at = best, gain[:, 0] > best, np.arange(rows), 0, 0, pos
+    # Node (i, j) is n = i * side + j.  Its own value is the +dx probe of
+    # node (i - 1, j), or for i = 0 the +dy probe of node (0, j - 1):
+    # either way into the node evaluates the same point.
+    forward = sign > 0.0
+    own = np.empty((rows, nodes))
+    own[:, 0] = best
+    own[:, side:] = np.where(forward[0, :, None], values[0, :, :-side], values[1, :, :-side])
+    own[:, 1:side] = np.where(forward[1, :, None], values[2, :, :side - 1],
+                              values[3, :, :side - 1])
+    improve = gain > own
+    # Each node's link, as a flat index: its +dx or +dy neighbour inside
+    # the patch, or itself where the walk ends.
+    node = np.arange(nodes)
+    ahead = np.where(forward, [[0], [2]], [[1], [3]])
+    jump = ((pick == ahead[0, :, None]) * np.where(node < nodes - side, side, 0)
+            + (pick == ahead[1, :, None]) * (node % side < side - 1))
+    root = np.arange(0, rows * nodes, nodes)
+    link = (root[:, None] + node + improve * jump).ravel()
+    # A chain has at most 2 * side - 2 links.
+    for _ in range(math.ceil(math.log2(2 * side - 1))):
+        link = link.take(link)
+    end = link[root]
+    i, j = np.divmod(end - root, side)
+    corner = np.arange(0, rows * side, side)
+    at = np.array([lattice[0].ravel().take(corner + i), lattice[1].ravel().take(corner + j)])
     move, probe = improve.take(end), pick.take(end)
     component = COMPASS[..., 0].take(probe, axis=1)
     return (np.where(move, at + component * step, at),

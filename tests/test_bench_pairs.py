@@ -119,6 +119,7 @@ def test_each_seed_runs_its_own_pairs(monkeypatch, tmp_path):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     out = tmp_path / "bench.json"
     assert bench_pairs.main([str(checkouts["parent"]), str(checkouts["change"]),
                              "--workload", "raster", "--seed", "1", "--seed", "2",
@@ -130,5 +131,6 @@ def test_each_seed_runs_its_own_pairs(monkeypatch, tmp_path):
     assert report["workloads"]["raster seed 2"]["metrics"]["wall_s"]["change_wins"] == "0/2"
     assert report["gain_on_every_seed"]["raster"]["seeds"] == [1, 2]
     assert report["environment"]["variables"] == {
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "PYTHONDONTWRITEBYTECODE": "1"}
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONUNBUFFERED": "1"}
     assert not report["gain_on_every_seed"]["raster"]["metrics"]["wall_s"]

@@ -25,6 +25,37 @@ GOLDEN = {
         "d47eb785f20fbffba7c701ce9e8d1dfd001cdc83de255847f162b61de2001e8e",
     "sweep --metric lambda3 --loss 0.1 --n 50":
         "0ba18760e76d16ee073918a142cc9a1a40b2e414d360983c3b54f6b941eff6dd",
+    # README's figure-data landscapes at 4 x 4 cells.  These digests were
+    # recorded from the files of the figure script the CLI replaced.
+    "sweep --metric lambda1 --loss 0.05 --n 4":
+        "66b75765d396e3ad977374838bdeaaff739f44f189aa90084e057e2929e8e196",
+    "sweep --metric lambda1 --loss 0.1 --n 4":
+        "4153efcc61ea6d45a21f116b5a5db5a43e419bde7b46e530d57635eb8b1db9d1",
+    "sweep --metric lambda1 --loss 0.15 --n 4":
+        "154266dfda3ae8b3d6af40fd6600a64a77f49f1c94928cc3515e6a722381f56a",
+    "sweep --metric lambda1 --loss 0.2 --n 4":
+        "0a276295f12eee0bd83e4e525962f0a677bc88e44a043fc5236184a957bab207",
+    "sweep --metric lambda2 --loss 0.05 --n 4":
+        "7527a46d4922365a4a4121637655950f3e17d65061ec575214209fa176516dfb",
+    "sweep --metric lambda2 --loss 0.1 --n 4":
+        "c835efba7f6b7e69e7b5db48e732e123119e7278e7cd2478fcb171e86eab855c",
+    "sweep --metric lambda2 --loss 0.15 --n 4":
+        "64c0e202cce4b3723cfc51234ddec2445545973da9f2fe2d1d50a41d10a77b04",
+    "sweep --metric lambda2 --loss 0.2 --n 4":
+        "f66cfd67c426bec2b888199c57e862f2cc4f126aaac8ce840ba519424364d13a",
+    "sweep --metric lambda3 --loss 0.05 --n 4":
+        "45c42c4ee3b2e83b30af6b8346dc946248e7ab5236dccf39896a600c7ebc82c6",
+    "sweep --metric lambda3 --loss 0.1 --n 4":
+        "805f3b06a7272e00c62d997bbb75078a8c32d084e6702526f3c6234b1b6a7f9b",
+    "sweep --metric lambda3 --loss 0.15 --n 4":
+        "bdd316ba7c411a3418cd2d302ff43e271ab92743021d45fb06f01d0ac6700c40",
+    "sweep --metric lambda3 --loss 0.2 --n 4":
+        "e5389806ef7dec831534751e88d5f650050bd8bbc4833375bfb31efeeb3707b3",
+    # README's optimum-versus-loss curves, on five of its losses.
+    "optimize --metric lambda1 --losses 0.02,0.14,0.26,0.38,0.5":
+        "31f6df166e8f5439805a9f19d4bad2514238c760a0f96592b396e50e8fe0b942",
+    "optimize --metric lambda2 --losses 0.02,0.14,0.26,0.38,0.5":
+        "eea82f1114d2854736933ab5fe4b1c6301ebd881b6746237766d58d8469666e0",
     # The CSV lost its always-empty trailing error column; before that the
     # digest was 97614211...79f4.
     "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60":

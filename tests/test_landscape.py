@@ -320,6 +320,8 @@ CURVE_CASES = [
     ([1.0, 0.1, 0.35], 7, TWO_PI / 7 / 2**7),
     # Small losses: every seed crawls a ridge for thousands of steps.
     ([0.01, 0.02], 200, 1e-6),
+    # 200 searching rows: every patch has side 1 from the first call.
+    ([0.0125 * k for k in range(1, 41)], 7, 1e-3),
 ]
 
 
@@ -327,7 +329,7 @@ class TestLockstepCurve:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("losses, grid_seed, tol", CURVE_CASES,
                              ids=["unsorted", "tol-1e-8", "grid-2", "no-iteration", "exact-tol",
-                                  "small-loss-crawl"])
+                                  "small-loss-crawl", "side-1"])
     def test_matches_scalar_compass_per_loss(self, metric, losses, grid_seed, tol):
         assert (loss_curve(metric, losses, grid_seed=grid_seed, tol=tol)
                 == [scalar_compass_maximize(metric, loss, grid_seed=grid_seed, tol=tol)

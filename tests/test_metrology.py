@@ -218,6 +218,35 @@ class TestLambda3:
         np.testing.assert_allclose(lambda3_values(phi, theta0, loss), assembled, rtol=1e-12)
 
 
+# Per loss, the largest |(2*lambda3 - lambda2) - 2B/h| / max(1, 2*lambda3)
+# allowed below: about four times the largest seen on 20 samples of 2*10**5
+# and 3 samples of 10**6 uniform points (2.6e-8, 3.7e-10, 6.9e-12, 8.4e-14,
+# 3.1e-15 and 0).  The gap grows as the loss falls because the kernels lose
+# digits to cancellation near the resonance.
+BUDGET_RTOL = {1e-4: 1e-7, 1e-3: 1.5e-9, 1e-2: 3e-11, 0.1: 3e-13, 0.5: 1.2e-14, 1.0: 1e-15}
+
+
+class TestPhotonBudget:
+    """2*lambda3 - lambda2 = 2B/h with B = |1 + sqrt(1-L) e^{i(theta0+phi)}|**2
+    and h = 2|1 - gamma|**2, so lambda1 <= lambda2 <= 2*lambda3: the
+    sensitivity gains are bounded by the photons held in the interferometer."""
+
+    @pytest.mark.parametrize("loss", sorted(BUDGET_RTOL))
+    def test_remainder_is_the_second_squared_modulus(self, loss):
+        phi, theta0 = np.random.default_rng(2009).uniform(0.0, 2 * math.pi, (2, 2 * 10**5))
+        l1, l2, l3 = (kernel(phi, theta0, loss)
+                      for kernel in (lambda1_values, lambda2_values, lambda3_values))
+        # h from the loop's own ratio, not from the kernels' trigonometry.
+        h = 2.0 * np.abs(1.0 - loop_ratio(phi, theta0, loss)) ** 2
+        b = np.abs(1.0 + math.sqrt(1.0 - loss) * np.exp(1j * (theta0 + phi))) ** 2
+        remainder = 2.0 * l3 - l2
+        gap = np.abs(remainder - 2.0 * b / h) / np.maximum(1.0, 2.0 * l3)
+        assert gap.max() <= BUDGET_RTOL[loss]
+        # B > 0 for L > 0, so the second bound is strict.
+        assert remainder.min() > 0.0
+        assert np.all(l1 <= l2 * (1.0 + 1e-9))
+
+
 class TestMeritReport:
     def test_sensitivities_invert_the_factors(self):
         report = merit_report(LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10, alpha_mag=2.0))
