@@ -17,7 +17,10 @@ BENCHMARK.json, each side's median, quartiles and runs, the relative
 worsening of the change's median against its bound, and how many pairs the
 change won; each run's `correct`, `attempted` and `failed`; and provenance,
 including the timing-relevant environment variables the runs inherit
-(`null` when unset).
+(`null` when unset).  Inside the same pairs it times the start-up floor that
+every CLI child pays and the repo does not control: `python -c pass` and
+`python -c "import numpy"` with one OpenBLAS thread, as the CLI entry runs
+it, in alternating order; their quartiles sit next to the metrics.
 One seed can show a gain that is the machine's run-to-run spread, so
 `gain_on_every_seed` holds, per workload and metric, whether the gain showed
 on every seed of this invocation.  When `--out` exists, its other keys
@@ -35,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -50,6 +54,9 @@ RUN_TIMEOUT_S = 1800
 # unbuffered standard streams (one write call per chunk of stdout).
 TIMING_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE",
                     "PYTHONUNBUFFERED")
+
+# The start-up floor's probes: each name's `python -c` code.
+FLOOR_PROBES = {"python_s": "pass", "import_numpy_s": "import numpy"}
 
 
 def bench_digest(checkout: Path) -> str:
@@ -79,6 +86,16 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         if line.startswith("provenance "):
             result["git_revision"] = json.loads(line[len("provenance "):])["git_revision"]
     return result
+
+
+def time_probe(code: str) -> float:
+    """Wall seconds of one `python -c code` child, run as the CLI entry runs
+    numpy: with OPENBLAS_NUM_THREADS=1, and without PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=RUN_TIMEOUT_S)
+    return time.perf_counter() - start
 
 
 def quartiles(values: list[float]) -> dict:
@@ -180,6 +197,10 @@ def main(argv=None) -> int:
                 "direction, exceeds the parent's interquartile range",
         "gain_on_every_seed": "per workload and metric, the gain on every seed of the "
                               "invocation that wrote it",
+        "startup_floor": "per workload and seed, wall seconds of `python -c pass` "
+                         "(python_s) and `python -c 'import numpy'` with "
+                         "OPENBLAS_NUM_THREADS=1 (import_numpy_s), one of each per pair "
+                         "after its bench runs, in alternating order",
     }
     report["environment"] = {
         "python": platform.python_version(),
@@ -195,6 +216,7 @@ def main(argv=None) -> int:
         summaries = []
         for seed in args.seed:
             runs = {side: [] for side in SIDES}
+            floor = {name: [] for name in FLOOR_PROBES}
             for pair in range(args.pairs):
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                     result = run_bench(checkouts[side], workload, seed, args.seconds)
@@ -202,7 +224,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"wall_s {result['metrics']['wall_s']['value']:.4f} "
                           f"correct {result['correct']}", flush=True)
+                for name in (FLOOR_PROBES if pair % 2 == 0 else reversed(FLOOR_PROBES)):
+                    floor[name].append(time_probe(FLOOR_PROBES[name]))
             summary = summarize(runs, declared)
+            summary["startup_floor"] = {name: {"unit": "s", **quartiles(values)}
+                                        for name, values in floor.items()}
             summary["seed"], summary["seconds"], summary["pairs"] = seed, args.seconds, args.pairs
             summary["revisions"] = {side: runs[side][0].get("git_revision") for side in SIDES}
             workloads[f"{workload} seed {seed}"] = summary

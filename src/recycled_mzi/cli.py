@@ -30,7 +30,6 @@ from .errors import ModelError
 from .landscape import SweepGrid, loss_curve, sweep
 from .metrology import METRICS, merit_report
 from .optics import LoopParameters
-from . import verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -258,8 +257,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_all(points=args.points, seed=args.seed,
-                                   losses=_parse_losses(args.losses), grid_n=args.grid)
+    # Imported here, so that the other commands never load the suites.
+    from . import verification
+
+    options = {name: getattr(args, name) for name in ("points", "seed", "losses", "grid_n")
+               if name in args}
+    if "losses" in options:
+        options["losses"] = _parse_losses(options["losses"])
+    results = verification.run_all(**options)
     width = max(len(result.name) for result in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -272,8 +277,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of the help text raises.
+
+    argparse drops an OSError from its own writes, so without this an
+    unbuffered `--help` into a closed pipe would exit 0 with nothing said.
+    """
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recycled-mzi",
         description="Phase sensitivity and photon budget of a photon-recycled "
                     "Mach-Zehnder interferometer with coherent input.",
@@ -316,21 +332,28 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--out", default=None)
     optimize.set_defaults(handler=cmd_optimize)
 
-    verify = sub.add_parser("verify", help="run the cross-route verification suites")
-    verify.add_argument("--points", type=int, default=verification.DEFAULT_POINTS)
-    verify.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
-    verify.add_argument("--losses", default=",".join(str(l) for l in verification.DEFAULT_LOSSES))
-    verify.add_argument("--grid", type=int, default=verification.DEFAULT_GRID)
+    # No defaults here: a flag left out is left out of the call to `run_all`,
+    # whose signature holds them.
+    verify = sub.add_parser("verify", help="run the cross-route verification suites",
+                            argument_default=argparse.SUPPRESS)
+    verify.add_argument("--points", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--losses")
+    verify.add_argument("--grid", type=int, dest="grid_n", metavar="GRID")
     verify.set_defaults(handler=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        try:
+            args = build_parser().parse_args(argv)
+        # argparse has printed the help (exit 0) or a usage error (exit 2).
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            code = args.handler(args)
         # What is still buffered belongs to this command: a reader that has
         # gone fails it here, like any other write.
         sys.stdout.flush()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ResonantPoleError
-from .optics import check_loss, mzi_entries
+from .optics import _raise_where, check_loss, mzi_entries
 
 # Below this loop-denominator magnitude the steady state is numerically
 # meaningless; reachable only at L = 0 with phi = pi, theta0 = 0 (mod 2*pi).
@@ -63,15 +63,6 @@ def _feedback(theta0, loss):
     loss is checked here.
     """
     return np.sqrt(1.0 - check_loss(loss)) * np.exp(-1j * np.asarray(theta0))
-
-
-def _raise_where(mask, error: type, message: str, phi, theta0, loss) -> None:
-    """Raise `error` naming the first point where `mask` holds."""
-    if np.any(mask):
-        at = np.unravel_index(np.argmax(mask), np.shape(mask))
-        phi, theta0, loss = (float(np.broadcast_to(x, np.shape(mask))[at])
-                             for x in (phi, theta0, loss))
-        raise error(f"{message} at phi={phi}, theta0={theta0}, loss={loss}")
 
 
 def loop_ratio(phi, theta0, loss):

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantPoleError
-from .loop import _raise_where, closed_form
-from .optics import LoopParameters, check_loss
+from .optics import LoopParameters, _raise_where, check_loss
 
 # The closed trigonometric kernels divide by the squared loop denominator,
 # which loses every significant double-precision digit well before the
@@ -120,8 +119,11 @@ def lambda3_values(phi, theta0, loss):
 def merit_report(params: LoopParameters) -> MeritReport:
     """All figures of merit at one operating point.
 
-    The kernels' pole guard is the wider one, so they run first.
+    The kernels' pole guard is the wider one, so they run first.  The loop
+    module is imported here, so that `sweep` and `optimize` never load it.
     """
+    from .loop import closed_form
+
     l1, l2, l3 = (float(kernel(params.phi, params.theta0, params.loss))
                   for kernel in (lambda1_values, lambda2_values, lambda3_values))
     coef = closed_form(params.phi, params.theta0, params.loss)

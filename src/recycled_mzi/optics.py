@@ -45,6 +45,15 @@ def check_loss(loss) -> np.ndarray:
     raise ParameterError(f"loss must lie in [0, 1], got {given.flat[first]}")
 
 
+def _raise_where(mask, error: type, message: str, phi, theta0, loss) -> None:
+    """Raise `error` naming the first point where `mask` holds."""
+    if np.any(mask):
+        at = np.unravel_index(np.argmax(mask), np.shape(mask))
+        phi, theta0, loss = (float(np.broadcast_to(x, np.shape(mask))[at])
+                             for x in (phi, theta0, loss))
+        raise error(f"{message} at phi={phi}, theta0={theta0}, loss={loss}")
+
+
 @dataclass(frozen=True)
 class LoopParameters:
     """Operating point of the recycled interferometer.

@@ -114,7 +114,14 @@ def test_each_seed_runs_its_own_pairs(monkeypatch, tmp_path):
         wall = 0.5 if checkout == checkouts["change"] and seed == 1 else 1.0
         return result(wall, 480_000 / wall)
 
+    probes = []
+
+    def time_probe(code):
+        probes.append(code)
+        return {"pass": 0.05, "import numpy": 0.15}[code] + 0.001 * len(probes)
+
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "time_probe", time_probe)
     monkeypatch.setattr(bench_pairs, "bench_digest", lambda checkout: "same")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -134,3 +141,19 @@ def test_each_seed_runs_its_own_pairs(monkeypatch, tmp_path):
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "PYTHONDONTWRITEBYTECODE": "1",
         "PYTHONUNBUFFERED": "1"}
     assert not report["gain_on_every_seed"]["raster"]["metrics"]["wall_s"]
+    # One of each start-up probe per pair, the order alternating by pair.
+    assert probes == ["pass", "import numpy", "import numpy", "pass"] * 2
+    floor = report["workloads"]["raster seed 2"]["startup_floor"]
+    assert set(floor) == {"python_s", "import_numpy_s"}
+    assert floor["python_s"]["runs"] == [0.055, 0.058]
+    assert floor["import_numpy_s"]["runs"] == [0.156, 0.157]
+    numpy_floor = floor["import_numpy_s"]
+    assert (numpy_floor["unit"], numpy_floor["median"]) == ("s", pytest.approx(0.1565))
+    assert numpy_floor["q1"] <= numpy_floor["median"] <= numpy_floor["q3"]
+    assert "startup_floor" in report["end_to_end_protocol"]
+
+
+def test_start_up_probe_runs_python_with_one_openblas_thread():
+    seconds = bench_pairs.time_probe(
+        "import os, sys; sys.exit(os.environ['OPENBLAS_NUM_THREADS'] != '1')")
+    assert 0.0 < seconds < bench_pairs.RUN_TIMEOUT_S

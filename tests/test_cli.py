@@ -370,6 +370,66 @@ def test_point_argv_contract(phi, theta0, loss, alpha, degrees):
         assert len(json.loads(stdout.getvalue())) == 10
 
 
+# Loss lists for `verify`: edge floats, empty and malformed items, accepted
+# losses, and the empty list.
+verify_loss_items = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1", "1.5", "-0.1",
+                                      "1e-300", "5e-324", "2e-5", "0.05", "1e308", "", " ",
+                                      "abc", "0.1.2"])
+                     | st.floats(-0.5, 1.5).map(repr))
+# Sizes an accepted run keeps near 10**4 point-losses (at most 6 losses), and
+# sizes past each cap whatever the losses.
+POINT_CAP = verification.MAX_POINT_LOSSES
+GRID_CAP = math.isqrt(POINT_CAP)
+verify_points = st.integers(-3, 1000) | st.integers(POINT_CAP + 1, 10**15)
+verify_grids = (st.integers(-40, 40)
+                | st.integers(GRID_CAP + 1, 10**8).flatmap(lambda n: st.sampled_from([n, -n])))
+
+
+@given(points=st.none() | verify_points, seed=st.none() | st.integers(-3, 2**64),
+       grid=st.none() | verify_grids,
+       losses=st.none() | st.lists(verify_loss_items, max_size=6).map(",".join))
+@settings(max_examples=150, deadline=None)
+def test_verify_argv_contract(points, seed, grid, losses):
+    """The exit contract of `verify` for generated argv.
+
+    Draws past a cap must be refused before anything is allocated.  The same
+    property for `optimize` waits for an iteration bound on the compass
+    search: `--grid-seed 2` does not terminate today (ROADMAP item 5), and
+    the draws are not narrowed to hide that.
+    """
+    argv = ["verify"]
+    for flag, value in (("points", points), ("seed", seed), ("grid", grid), ("losses", losses)):
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    past_cap = ((points is not None and points > POINT_CAP)
+                or (grid is not None and abs(grid) > GRID_CAP))
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    if past_cap:
+        tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        if past_cap:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    out, err = stdout.getvalue(), stderr.getvalue()
+
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if past_cap:
+        assert code == 2
+        assert peak < 2**20
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] in ("ModelError", "ParameterError", "ResonantPoleError")
+    else:
+        assert err == ""
+        assert out.endswith("verification FAILED\n" if code == 1 else "all checks passed\n")
+
+
 class TestOptimize:
     def test_reference_optimum_csv(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--metric", "lambda1",
@@ -454,6 +514,21 @@ class TestVerify:
         losses = ",".join(["0"] + [repr(float(loss)) for loss in np.geomspace(5e-5, 1, 25)])
         code, out, _ = run_cli(capsys, "verify", "--losses", losses, *sizes)
         assert code == 0
+        assert out.endswith("all checks passed\n")
+
+    @pytest.mark.parametrize("argv,options", [
+        ((), {}),
+        (("--grid", "12"), {"grid_n": 12}),
+        (("--points", "300", "--seed", "7", "--grid", "12", "--losses", "0.05,,0.5"),
+         {"points": 300, "seed": 7, "grid_n": 12, "losses": [0.05, 0.5]}),
+    ])
+    def test_only_given_flags_reach_run_all(self, capsys, monkeypatch, argv, options):
+        calls = []
+        monkeypatch.setattr(verification, "run_all",
+                            lambda **given: calls.append(given) or [verification.CheckResult(
+                                "stub", 0.0, 1.0)])
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert (code, calls) == (0, [options])
         assert out.endswith("all checks passed\n")
 
     def test_step_option_is_gone(self):
@@ -578,6 +653,10 @@ def test_module_entry_exit_codes_and_streams(tmp_path, unbuffered):
     assert len(refused.stderr.splitlines()) == 1
     assert json.loads(refused.stderr)["error"] == "ParameterError"
 
+    shown = subprocess.run([*entry, "--help"], env=env, capture_output=True, text=True)
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith("usage: recycled-mzi")
+
     usage = subprocess.run([*entry, "sweep", "--metric", "lambda9", "--loss", "0.1"],
                            env=env, capture_output=True, text=True)
     assert (usage.returncode, usage.stdout) == (2, "")
@@ -635,6 +714,19 @@ def test_module_entry_into_a_closed_pipe_with_a_small_output(unbuffered):
     check_broken_pipe(child.returncode, child.stderr)
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_exits_0_from_main(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: recycled-mzi")
+
+
+def test_usage_error_exits_2_from_main(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--metric", "lambda9", "--loss", "0.1")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'lambda9'" in err
+
+
 # The console script's way in: `main`, then the interpreter's normal exit,
 # whose last flush must find no bytes left for the closed pipe.
 CONSOLE_SCRIPT = "import sys\nfrom recycled_mzi.__main__ import main\nsys.exit(main())\n"
@@ -644,6 +736,16 @@ CONSOLE_SCRIPT = "import sys\nfrom recycled_mzi.__main__ import main\nsys.exit(m
 def test_console_script_into_a_closed_pipe(unbuffered):
     child = run_into_closed_pipe([sys.executable, "-c", CONSOLE_SCRIPT, *LARGE_SWEEP],
                                  unbuffered)
+    check_broken_pipe(child.returncode, child.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("entry", [("-m", "recycled_mzi"), ("-c", CONSOLE_SCRIPT)])
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_into_a_closed_pipe(unbuffered, entry, argv):
+    # Buffered, the help text waits in the buffer; unbuffered, argparse
+    # alone would drop the failed write and exit 0.
+    child = run_into_closed_pipe([sys.executable, *entry, *argv], unbuffered)
     check_broken_pipe(child.returncode, child.stderr)
 
 

@@ -49,6 +49,35 @@ def test_import_loads_neither_numpy_nor_the_model():
         "recycled_mzi", "recycled_mzi.errors"]
 
 
+# What `import recycled_mzi.cli` loads, and what each command then adds.
+CLI_MODULES = ["recycled_mzi", "recycled_mzi.cli", "recycled_mzi.errors",
+               "recycled_mzi.landscape", "recycled_mzi.metrology", "recycled_mzi.optics"]
+LOADED_BY_COMMAND = (
+    "import contextlib, io, json, sys\n"
+    "def ours():\n"
+    "    return {{name for name in sys.modules if name.split('.')[0] == 'recycled_mzi'}}\n"
+    "import recycled_mzi.cli\n"
+    "before = ours()\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = recycled_mzi.cli.main({argv!r})\n"
+    "print(json.dumps([code, sorted(before), sorted(ours() - before)]))\n")
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["--help"], []),
+    (["sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "4"], []),
+    (["optimize", "--metric", "lambda3", "--losses", "0.1", "--grid-seed", "20"], []),
+    (["point", "--phi", "1", "--theta0", "0.5", "--loss", "0.1"], ["recycled_mzi.loop"]),
+    (["verify", "--points", "20", "--grid", "5"],
+     ["recycled_mzi.loop", "recycled_mzi.verification"]),
+])
+def test_each_command_loads_only_what_it_calls(argv, added):
+    code, before, loaded = fresh_python(LOADED_BY_COMMAND.format(argv=argv))
+    assert code == 0
+    assert before == CLI_MODULES
+    assert loaded == added
+
+
 def test_submodule_is_an_attribute_after_a_bare_import():
     name, sweep_home = fresh_python(
         "import json, recycled_mzi\n"
