@@ -524,9 +524,12 @@ class TestVerify:
     ])
     def test_only_given_flags_reach_run_all(self, capsys, monkeypatch, argv, options):
         calls = []
-        monkeypatch.setattr(verification, "run_all",
-                            lambda **given: calls.append(given) or [verification.CheckResult(
-                                "stub", 0.0, 1.0)])
+
+        def run_all(**given):
+            calls.append(given)
+            return [verification.CheckResult("stub", 0.0, 1.0)]
+
+        monkeypatch.setattr(verification, "run_all", run_all)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert (code, calls) == (0, [options])
         assert out.endswith("all checks passed\n")
