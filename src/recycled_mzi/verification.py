@@ -9,13 +9,16 @@ each pair, together with the tolerance it must stay under.  The command
 line `verify` subcommand prints these results and gates its exit code on
 them.
 
-Each suite evaluates all its points and losses in one broadcast call per
-route, with the losses along the first axis.
+`run_all` evaluates each route once, in one broadcast call over all its
+points and losses, with the losses along the first axis.  The oracle suite
+evaluates its own two routes; the other suites only compare arrays that
+`run_all` evaluated for all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -115,21 +118,18 @@ def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult
     return CheckResult("oracle equivalence (cascade vs closed form)", worst, ORACLE_TOL)
 
 
-def output_normalization(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
+def output_normalization(coef: RecycledCoefficients) -> CheckResult:
     """|upsilon|**2 + |vac_a|**2 = 1: the monitored output is a free mode.
 
     This sum rule is what pins the quadrature variance of the output to
     exactly one, so it doubles as the noise check for homodyne detection.
     """
-    coef = closed_form(*_at_losses(points, losses))
     worst = _worst(np.abs(coef.upsilon) ** 2 + np.abs(coef.vac_a) ** 2 - 1.0)
     return CheckResult("output-mode normalization", worst, NORMALIZATION_TOL)
 
 
-def energy_balance(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
+def energy_balance(coef: RecycledCoefficients, loss) -> CheckResult:
     """|upsilon|**2 + loss*|xi|**2 = 1: photons exit at a or are absorbed."""
-    phi, theta0, loss = _at_losses(points, losses)
-    coef = closed_form(phi, theta0, loss)
     worst = _worst(np.abs(coef.upsilon) ** 2 + loss * np.abs(coef.xi) ** 2 - 1.0)
     return CheckResult("energy balance", worst, ENERGY_TOL)
 
@@ -165,60 +165,77 @@ def finite_difference_factors(phi, theta0, loss, step=None):
     return np.abs(slope.real), np.abs(slope)
 
 
-def _factor_vs_derivative(name: str, kernel, route: int, grid_n: int, losses) -> CheckResult:
-    """Closed factor `kernel` versus finite_difference_factors(...)[route],
-    relative, over a grid_n x grid_n grid at each loss.
+def _factor_vs_derivative(name: str, closed, numeric) -> CheckResult:
+    """Closed factor versus finite-difference values on a derivative grid,
+    relative.
 
     Points where the factor is below SMALL_VALUE_FLOOR are excluded: near
     signal nulls the relative comparison measures only cancellation noise.
     """
-    if grid_n < 2:
-        raise ParameterError(f"derivative grid needs at least 2 points per axis, got {grid_n}")
-    axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    phi, theta0 = axis[:, None], axis[None, :]
-    loss = np.asarray(losses, dtype=float)[:, None, None]
-    closed = kernel(phi, theta0, loss)
-    numeric = finite_difference_factors(phi, theta0, loss)[route]
     mask = closed >= SMALL_VALUE_FLOOR
     if not mask.any():
-        raise ParameterError(f"no point of the {grid_n}x{grid_n} derivative grid has a "
+        n = closed.shape[-1]
+        raise ParameterError(f"no point of the {n}x{n} derivative grid has a "
                              f"factor >= {SMALL_VALUE_FLOOR}")
     worst = _worst((numeric[mask] - closed[mask]) / closed[mask])
     return CheckResult(name, worst, DERIVATIVE_RTOL)
 
 
-def hd_factor_vs_derivative(grid_n: int = DEFAULT_GRID, losses=DERIVATIVE_LOSSES) -> CheckResult:
+def hd_factor_vs_derivative(closed, numeric) -> CheckResult:
     """Closed homodyne factor versus finite-difference error propagation."""
-    return _factor_vs_derivative("homodyne factor vs finite difference", lambda1_values, 0,
-                                 grid_n, losses)
+    return _factor_vs_derivative("homodyne factor vs finite difference", closed, numeric)
 
 
-def qcrb_factor_vs_derivative(grid_n: int = DEFAULT_GRID,
-                              losses=DERIVATIVE_LOSSES) -> CheckResult:
+def qcrb_factor_vs_derivative(closed, numeric) -> CheckResult:
     """Closed bound factor versus twice the modulus of the coefficient slope."""
-    return _factor_vs_derivative("qcrb factor vs finite difference", lambda2_values, 1,
-                                 grid_n, losses)
+    return _factor_vs_derivative("qcrb factor vs finite difference", closed, numeric)
 
 
-def photon_factor_consistency(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
+def photon_factor_consistency(coef: RecycledCoefficients, lambda3) -> CheckResult:
     """Closed photon factor versus |upsilon|**2 + |xi|**2, relative."""
+    assembled = np.abs(coef.upsilon) ** 2 + np.abs(coef.xi) ** 2
+    worst = _worst((lambda3 - assembled) / np.maximum(1.0, assembled))
+    return CheckResult("photon factor vs coefficient sum", worst, PHOTON_SUM_RTOL)
+
+
+# The phases of `run_all` after the oracle, one function each so that a
+# phase's arrays are freed before the next phase allocates its own.
+def _identity_checks(points: np.ndarray, losses) -> tuple[CheckResult, ...]:
+    """The three sum rules on one closed form of the sample."""
     phi, theta0, loss = _at_losses(points, losses)
     coef = closed_form(phi, theta0, loss)
-    assembled = np.abs(coef.upsilon) ** 2 + np.abs(coef.xi) ** 2
-    closed = lambda3_values(phi, theta0, loss)
-    worst = _worst((closed - assembled) / np.maximum(1.0, assembled))
-    return CheckResult("photon factor vs coefficient sum", worst, PHOTON_SUM_RTOL)
+    return (output_normalization(coef), energy_balance(coef, loss),
+            photon_factor_consistency(coef, lambda3_values(phi, theta0, loss)))
+
+
+def _derivative_checks(grid_n: int, losses) -> tuple[CheckResult, ...]:
+    """Both factor checks on one finite-difference pass over the grid."""
+    axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+    phi, theta0 = axis[:, None], axis[None, :]
+    loss = np.asarray(losses, dtype=float)[:, None, None]
+    hd, qcrb = finite_difference_factors(phi, theta0, loss)
+    return (hd_factor_vs_derivative(lambda1_values(phi, theta0, loss), hd),
+            qcrb_factor_vs_derivative(lambda2_values(phi, theta0, loss), qcrb))
 
 
 def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
             losses=DEFAULT_LOSSES, grid_n: int = DEFAULT_GRID) -> list[CheckResult]:
     """Run every suite and return the individual results.
 
-    The losses, and both suite sizes, points x losses and grid_n**2 x
-    derivative losses against MAX_POINT_LOSSES, are checked before anything
-    is allocated.
+    Every input is checked before anything is allocated: the losses, that
+    points, seed and grid_n are integers, that the grid has 2 points per
+    axis, and both suite sizes, points x losses and grid_n**2 x derivative
+    losses, against MAX_POINT_LOSSES.  The oracle runs first with nothing
+    else held, then the identity phase, then the derivative phase.
     """
     check_loss(losses)
+    for name, value in (("points", points), ("seed", seed), ("grid_n", grid_n)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ParameterError(f"{name} must be an integer, got {value}")
+    # Python integers, so that the size products below cannot wrap.
+    points, seed, grid_n = int(points), int(seed), int(grid_n)
+    if grid_n < 2:
+        raise ParameterError(f"derivative grid needs at least 2 points per axis, got {grid_n}")
     # The finite-difference comparisons need loss > 0 to stay clear of the
     # lossless resonance; fall back to the stock losses otherwise.
     derivative_losses = tuple(l for l in losses if l > 0.0) or DERIVATIVE_LOSSES
@@ -227,11 +244,7 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
         if count > MAX_POINT_LOSSES:
             raise ParameterError(f"{what}: {count} point-losses exceed {MAX_POINT_LOSSES}")
     pts = sample_points(points, seed)
-    return [
-        oracle_equivalence(pts, losses),
-        output_normalization(pts, losses),
-        energy_balance(pts, losses),
-        hd_factor_vs_derivative(grid_n, derivative_losses),
-        qcrb_factor_vs_derivative(grid_n, derivative_losses),
-        photon_factor_consistency(pts, losses),
-    ]
+    oracle = oracle_equivalence(pts, losses)
+    normalization, energy, photon = _identity_checks(pts, losses)
+    hd, qcrb = _derivative_checks(grid_n, derivative_losses)
+    return [oracle, normalization, energy, hd, qcrb, photon]

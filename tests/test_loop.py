@@ -287,3 +287,33 @@ class TestSteadyStateInvariants:
     def test_energy_balance_property(self, phi, theta0, loss):
         coef = closed_form(phi, theta0, loss)
         assert abs(coef.upsilon) ** 2 + loss * abs(coef.xi) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_all_evaluates_each_route_once(monkeypatch):
+    # One finite-difference pass serves both factor checks, one cascade the
+    # oracle, and two closed forms of the sample the oracle and the three
+    # identities.  The results and their order do not depend on the count.
+    kwargs = {"points": 7, "seed": 3, "losses": (0.1, 0.5), "grid_n": 5}
+    expected = verification.run_all(**kwargs)
+    calls = []
+
+    def counted(name):
+        original = getattr(verification, name)
+
+        def wrapper(phi, *args, **kwargs):
+            calls.append((name, np.broadcast_shapes(np.shape(phi), np.shape(args[0]),
+                                                    np.shape(args[1]))))
+            return original(phi, *args, **kwargs)
+        monkeypatch.setattr(verification, name, wrapper)
+
+    for name in ("finite_difference_factors", "cascade", "closed_form"):
+        counted(name)
+    assert verification.run_all(**kwargs) == expected
+    assert [result.name for result in expected] == [
+        "oracle equivalence (cascade vs closed form)", "output-mode normalization",
+        "energy balance", "homodyne factor vs finite difference",
+        "qcrb factor vs finite difference", "photon factor vs coefficient sum"]
+    names = [name for name, _ in calls]
+    assert names.count("finite_difference_factors") == 1
+    assert names.count("cascade") == 1
+    assert calls.count(("closed_form", (2, 7))) == 2

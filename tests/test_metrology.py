@@ -48,7 +48,7 @@ class TestHomodyneMoments:
 
     def test_covariance_is_identity(self):
         for params in (REFERENCE, LoopParameters(phi=1.0, theta0=2.0, loss=0.5)):
-            result = output_normalization(np.array([[params.phi, params.theta0]]), (params.loss,))
+            result = output_normalization(closed_form(params.phi, params.theta0, params.loss))
             assert result.passed
 
     def test_mean_follows_coherent_amplitude(self):

@@ -215,12 +215,23 @@ class TestCheckLoss:
             check_loss(loss)
 
 
-def test_run_all_checks_losses_before_sampling(monkeypatch):
+@pytest.mark.parametrize("kwargs,reason", [
+    pytest.param({"losses": [0.1, 1.5]}, "got 1.5", id="losses"),
+    pytest.param({"grid_n": 1}, "at least 2 points per axis, got 1$", id="grid-1"),
+    pytest.param({"grid_n": -5}, "at least 2 points per axis, got -5$", id="grid-negative"),
+    pytest.param({"grid_n": 2.0}, "grid_n must be an integer, got 2.0$", id="grid-float"),
+    pytest.param({"points": 1.5}, "points must be an integer, got 1.5$", id="points-float"),
+    pytest.param({"points": True}, "points must be an integer, got True$", id="points-bool"),
+    pytest.param({"seed": 1.5}, "seed must be an integer, got 1.5$", id="seed-float"),
+    # A numpy integer whose square wraps int64 to 0 is still over the cap.
+    pytest.param({"grid_n": np.int64(2**32)}, "point-losses exceed", id="grid-wraps-int64"),
+])
+def test_run_all_checks_inputs_before_sampling(monkeypatch, kwargs, reason):
     def refuse(*args, **kwargs):
-        raise AssertionError("sampled points before checking the losses")
+        raise AssertionError("sampled points before checking the inputs")
     monkeypatch.setattr(verification, "sample_points", refuse)
-    with pytest.raises(ParameterError, match="got 1.5"):
-        verification.run_all(losses=[0.1, 1.5])
+    with pytest.raises(ParameterError, match=reason):
+        verification.run_all(**kwargs)
 
 
 class TestLoopParameters:
