@@ -32,11 +32,11 @@ from .optics import check_loss
 
 TWO_PI = 2.0 * math.pi
 
-# 2000 x 2000 cells: `sweep --n 2000 --out` takes 2.2-2.5 s and peaks at
-# 152 MB RSS for lambda1, 1.9-2.5 s and 121 MB for lambda2, 2.0-2.2 s and
-# 121 MB for lambda3 (2 vCPU, BENCH_12.json).  The CSV is streamed row by
-# row, so the peak is the value grid and the kernel temporaries, not the
-# 168 MB of text.
+# 2000 x 2000 cells: `sweep --loss 0.1 --n 2000 --out` takes 1.3-1.8 s and
+# peaks at 153 MB RSS for lambda1, 1.2-1.3 s and 122 MB for lambda2 and
+# lambda3 (3 runs each of the CLI child, wall time and rusage peak; Python
+# 3.11, numpy 2.4, 2 vCPU).  The CSV is streamed row by row, so the peak is
+# the value grid and the kernel temporaries, not the 168 MB of text.
 MAX_GRID_POINTS = 4 * 10**6
 
 REFINE_SEEDS = 5
@@ -51,11 +51,9 @@ TIE_RTOL = 1e-9
 COMPASS = np.array([[1.0, -1.0, 0.0, 0.0],
                     [0.0, 0.0, 1.0, -1.0]])[:, :, None]
 
-# Largest side of the patch of step lattice one kernel call evaluates ahead
-# of each searching row, and the kernel points a call aims at: the side
-# shrinks as sqrt(PATCH_POINTS / (4 * rows)), so long loss lists fall back
-# toward one step per call.
-PATCH = 12
+# The kernel points one compass call aims at: the patch of step lattice it
+# evaluates ahead of each searching row has side sqrt(PATCH_POINTS / (4 * rows)),
+# so long loss lists fall back toward one step per call.
 PATCH_POINTS = 3000
 
 
@@ -208,42 +206,37 @@ def _compass(kernel, pos, best, row_loss, step0, tol):
 
     Row r starts at (pos[0, r], pos[1, r]) = (phi, theta0) with value best[r]
     at loss row_loss[r] and step step0.  Each kernel call resolves a stretch
-    of every searching row's path (`_walk`) on a patch whose side shrinks as
-    more rows search: a call costs at most PATCH_POINTS points, unless one
-    step per row already costs more.  A row whose step falls below tol
-    retires: its results are written back and it is never probed again.
+    of every searching row's path (`_walk`) on a patch whose side is set by
+    the rows still searching: a call costs at most PATCH_POINTS points,
+    unless one step per row already costs more.  A row whose step falls
+    below tol retires: its results are written back, it is never probed
+    again, and the side grows to fit the rows left.
     """
     final_pos, final_best = np.empty_like(pos), np.empty_like(best)
     iterations = np.zeros(best.size, dtype=np.int64)
-    active = np.arange(best.size)
+    rows = np.arange(best.size)
     step = np.full(best.size, step0)
     sign = np.ones_like(pos)
     taken = np.zeros(best.size, dtype=np.int64)
-    side = 0
-    while True:
-        done = step < tol
-        # The first pass also sets up the per-row arguments.
-        if side == 0 or done.any():
-            gone = active[done]
-            final_pos[:, gone], final_best[gone] = pos[:, done], best[done]
-            iterations[gone] = taken[done]
-            keep = ~done
-            if not keep.any():
-                return final_pos, final_best, iterations
-            pos, sign = pos[:, keep], sign[:, keep]
-            active, best, step, taken, row_loss = (
-                part[keep] for part in (active, best, step, taken, row_loss))
-            side = max(1, min(PATCH, math.isqrt(PATCH_POINTS // (4 * active.size))))
-            loss = row_loss[:, None, None]
-        try:
-            pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, side)
-        except ResonantPoleError:
-            # A patch point off every row's path can lie inside the kernel's
-            # pole guard; one step per row probes only the path.
-            if side == 1:
-                raise
-            pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, 1)
-        taken += more
+    while rows.size:
+        side = max(1, math.isqrt(PATCH_POINTS // (4 * rows.size)))
+        loss = row_loss[rows, None, None]
+        while (live := step >= tol).all():
+            try:
+                pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, side)
+            except ResonantPoleError:
+                # A patch point off every row's path can lie inside the
+                # kernel's pole guard; one step per row probes only the path.
+                if side == 1:
+                    raise
+                pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, 1)
+            taken += more
+        done = ~live
+        final_pos[:, rows[done]], final_best[rows[done]] = pos[:, done], best[done]
+        iterations[rows[done]] = taken[done]
+        pos, sign = pos[:, live], sign[:, live]
+        rows, best, step, taken = (part[live] for part in (rows, best, step, taken))
+    return final_pos, final_best, iterations
 
 
 def loss_curve(metric_tag: str, losses, grid_seed: int = 200,

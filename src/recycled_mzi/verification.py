@@ -62,11 +62,8 @@ class CheckResult:
 
 
 def sample_points(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Seeded pseudo-random (phi, theta0) pairs, uniform over [0, 2*pi)^2."""
-    if points < 1:
-        raise ParameterError(f"points must be >= 1, got {points}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    """Seeded pseudo-random (phi, theta0) pairs, uniform over [0, 2*pi)^2;
+    `run_all` checks points >= 1 and seed >= 0."""
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * np.pi, size=(points, 2))
 
@@ -223,10 +220,12 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
     """Run every suite and return the individual results.
 
     Every input is checked before anything is allocated: the losses, that
-    points, seed and grid_n are integers, that the grid has 2 points per
-    axis, and both suite sizes, points x losses and grid_n**2 x derivative
-    losses, against MAX_POINT_LOSSES.  The oracle runs first with nothing
-    else held, then the identity phase, then the derivative phase.
+    points, seed and grid_n are integers, that points >= 1, seed >= 0 and
+    the grid has 2 points per axis, and both suite sizes, points x losses
+    and grid_n**2 x derivative losses, against MAX_POINT_LOSSES.  The
+    derivative phase runs first, so a grid with no point above
+    SMALL_VALUE_FLOOR is refused before any point is sampled; then the
+    oracle, with nothing else held; then the identity phase.
     """
     check_loss(losses)
     for name, value in (("points", points), ("seed", seed), ("grid_n", grid_n)):
@@ -234,6 +233,10 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
             raise ParameterError(f"{name} must be an integer, got {value}")
     # Python integers, so that the size products below cannot wrap.
     points, seed, grid_n = int(points), int(seed), int(grid_n)
+    if points < 1:
+        raise ParameterError(f"points must be >= 1, got {points}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if grid_n < 2:
         raise ParameterError(f"derivative grid needs at least 2 points per axis, got {grid_n}")
     # The finite-difference comparisons need loss > 0 to stay clear of the
@@ -243,8 +246,8 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
                         (f"{grid_n}x{grid_n} grid", grid_n**2 * len(derivative_losses))):
         if count > MAX_POINT_LOSSES:
             raise ParameterError(f"{what}: {count} point-losses exceed {MAX_POINT_LOSSES}")
+    hd, qcrb = _derivative_checks(grid_n, derivative_losses)
     pts = sample_points(points, seed)
     oracle = oracle_equivalence(pts, losses)
     normalization, energy, photon = _identity_checks(pts, losses)
-    hd, qcrb = _derivative_checks(grid_n, derivative_losses)
     return [oracle, normalization, energy, hd, qcrb, photon]

@@ -362,6 +362,10 @@ class TestLockstepCurve:
         assert calls[-len(losses):] == [()] * len(losses)
         compass = calls[len(losses):-len(losses)]
         assert all(len(shape) == 4 and shape[1] >= 1 for shape in compass)
+        # A call evaluates at most the patch budget, unless one step per row
+        # already costs more.
+        assert all(math.prod(shape) <= max(landscape.PATCH_POINTS, 4 * shape[1])
+                   for shape in compass)
         # Every row of every call takes at least one step, so no call probes
         # a retired seed or comes after the last one retires.
         steps = [(record.evaluations - 20 * 20 - 1) // 4 for record in records]
@@ -372,6 +376,28 @@ class TestLockstepCurve:
         assert slowest_mean > 300
         assert len(compass) < slowest_mean / 3
         assert len(compass) < sum(len(one_calls) - 2 for _, one_calls in alone)
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_patch_side_follows_the_point_budget(self, monkeypatch, metric):
+        """The patch budget alone sizes a patch: 4 rows get side
+        isqrt(PATCH_POINTS // 16) = 13."""
+        kernel = METRICS[metric]
+        shapes = []
+
+        class FirstPatch(Exception):
+            pass
+
+        def first_patch(phi, theta0, loss):
+            shapes.append(shape := np.broadcast(phi, theta0, loss).shape)
+            if len(shape) == 4:
+                raise FirstPatch
+            return kernel(phi, theta0, loss)
+
+        monkeypatch.setitem(METRICS, metric, first_patch)
+        # A 2 x 2 seed grid: 4 searching rows.
+        with pytest.raises(FirstPatch):
+            loss_curve(metric, [0.1], grid_seed=2, tol=1e-6)
+        assert shapes == [(2, 2), (4, 4, 13, 13)]
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_pole_in_a_patch_retries_one_step(self, monkeypatch, metric):

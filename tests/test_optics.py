@@ -223,8 +223,11 @@ class TestCheckLoss:
     pytest.param({"points": 1.5}, "points must be an integer, got 1.5$", id="points-float"),
     pytest.param({"points": True}, "points must be an integer, got True$", id="points-bool"),
     pytest.param({"seed": 1.5}, "seed must be an integer, got 1.5$", id="seed-float"),
+    pytest.param({"points": 0}, "points must be >= 1, got 0$", id="points-0"),
+    pytest.param({"seed": -1}, "seed must be >= 0, got -1$", id="seed-negative"),
     # A numpy integer whose square wraps int64 to 0 is still over the cap.
     pytest.param({"grid_n": np.int64(2**32)}, "point-losses exceed", id="grid-wraps-int64"),
+    pytest.param({"grid_n": 2}, "no point of the 2x2 derivative grid", id="grid-2-nulls"),
 ])
 def test_run_all_checks_inputs_before_sampling(monkeypatch, kwargs, reason):
     def refuse(*args, **kwargs):
