@@ -70,17 +70,27 @@ def loop_ratio(phi, theta0, loss):
     return _feedback(theta0, loss) * mzi_entries(phi)[3]
 
 
+def _denominator(phi, theta0, loss):
+    """`mzi_entries(phi)`, the feedback f and 1 - f*s22 = 1 - gamma (broadcasts).
+
+    Every route that divides by 1 - gamma takes it from here, so each raises
+    ResonantPoleError at the same points: within POLE_THRESHOLD of the pole.
+    """
+    entries = mzi_entries(phi)
+    feedback = _feedback(theta0, loss)
+    denom = 1.0 - feedback * entries[3]
+    _raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
+                 "lossless loop resonance: no steady state", phi, theta0, loss)
+    return entries, feedback, denom
+
+
 def closed_form(phi, theta0, loss) -> RecycledCoefficients:
     """Steady-state coefficients from the summed geometric series (broadcasts).
 
     Raises ResonantPoleError if any point lies within POLE_THRESHOLD of the
     lossless pole.
     """
-    s11, s12, s21, s22 = mzi_entries(phi)
-    feedback = _feedback(theta0, loss)
-    denom = 1.0 - feedback * s22
-    _raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
-                 "lossless loop resonance: no steady state", phi, theta0, loss)
+    (s11, s12, s21, s22), feedback, denom = _denominator(phi, theta0, loss)
     sqrt_loss = np.sqrt(loss)
     return RecycledCoefficients(
         upsilon=s11 + s12 * s21 * (feedback / denom),

@@ -14,8 +14,8 @@ conventional interferometer fed by the same coherent state:
 Each factor has two implementations: a closed trigonometric form (the
 `*_values` kernels, broadcasting over (phi, theta0, loss); `merit_report`
 evaluates all three at one operating point) and an independent route through
-the loop coefficients or finite differences, which lives in the verification
-suites.
+the loop coefficients or their exact phase derivative, which lives in the
+verification suites.
 
 The local oscillator of the homodyne detector is referenced to the input
 carrier, so the input carrier phase drops out of every factor.

@@ -2,12 +2,12 @@
 
 Every quantity in this package has two independent computation routes:
 summed closed forms versus the iterated recycling cascade for the loop
-coefficients, and closed trigonometric forms versus finite differences for
-the enhancement factors.  The checks here drive both routes over seeded
-pseudo-random points and regular grids and report the worst deviation of
-each pair, together with the tolerance it must stay under.  The command
-line `verify` subcommand prints these results and gates its exit code on
-them.
+coefficients, and closed trigonometric forms versus the exact phase
+derivative of the closed-form coefficient for the enhancement factors.
+The checks here drive both routes over seeded pseudo-random points and
+regular grids and report the worst deviation of each pair, together with
+the tolerance it must stay under.  The command line `verify` subcommand
+prints these results and gates its exit code on them.
 
 `run_all` evaluates each route once, in one broadcast call over all its
 points and losses, with the losses along the first axis.  The oracle suite
@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParameterError
-from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio, passes_for_tolerance
+from .loop import RecycledCoefficients, _denominator, cascade, closed_form, passes_for_tolerance
 from .metrology import lambda1_values, lambda2_values, lambda3_values
 from .optics import LoopParameters, check_loss
 
@@ -31,7 +31,6 @@ DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
 DEFAULT_SEED = 0
 DEFAULT_GRID = 50
-DEFAULT_STEP = 1e-4
 DERIVATIVE_LOSSES = (0.05, 0.10, 0.15, 0.20)
 STAGE_TOL = 1e-14
 
@@ -44,9 +43,10 @@ SMALL_VALUE_FLOOR = 1e-3
 
 # Most (point, loss) pairs one suite of `run_all` may evaluate: exactly a
 # 1000x1000 derivative grid at the six default losses.  Peak memory grows
-# linearly with them, about 200 bytes each on the derivative grid and 265 on
-# the sampled points (numpy 2.4.6, x86-64), so a run at the cap peaks near
-# 1.3 GB or 1.6 GB respectively.
+# linearly with them, about 47 bytes each on the derivative grid (the slope of
+# peak RSS between `verify --points 1` at --grid 500 and 1000) and 265 on the
+# sampled points (numpy 2.4.6, x86-64), so a run at the cap peaks near 0.3 GB
+# or 1.6 GB respectively.
 MAX_POINT_LOSSES = 6 * 10**6
 
 
@@ -131,39 +131,23 @@ def energy_balance(coef: RecycledCoefficients, loss) -> CheckResult:
     return CheckResult("energy balance", worst, ENERGY_TOL)
 
 
-def finite_difference_factors(phi, theta0, loss, step=None):
-    """lambda1 and lambda2 by Richardson-extrapolated central differences
-    in phi (broadcasts).
+def derivative_factors(phi, theta0, loss):
+    """lambda1 = 2|Re s| and lambda2 = 2|s| from the exact slope s of the
+    closed-form upsilon in phi (broadcasts), independent of the kernels.
 
-    Independent of the closed trigonometric kernels: differentiates the
-    closed-form coefficient upsilon.  The homodyne factor is the slope of
-    the carrier-referenced mean quadrature, 2|Re(d upsilon/d phi)|; the
-    bound factor is 2|d upsilon/d phi|.  Combining the central differences
-    at step and step/2 as (4*D(step/2) - D(step))/3 cancels their step**2
-    error term, so the truncation error scales with step**4.
-
-    `step` (a number or an array broadcasting with the points) defaults per
-    point to min(DEFAULT_STEP, 0.01*|1 - gamma|): near the resonance
-    upsilon varies on a scale of |1 - gamma| in phi, about L at small
-    loss, so a fixed step would span it.
+    With u = exp(-i*phi), f = sqrt(1-L)*exp(-i*theta0) and
+    d = 2 - f + f*u = 2*(1 - gamma), upsilon = (u - 1)/2 - f*(u + 1)**2/(2*d)
+    and s = -i*u*[1/2 - f*(u + 1)*(4 - 3*f + f*u)/(2*d**2)], whose bracket
+    is ((1 - f)/(1 - gamma))**2/2.  Raises ResonantPoleError exactly where
+    `closed_form` does.
     """
-    if step is None:
-        step = np.minimum(DEFAULT_STEP, 0.01 * np.abs(1.0 - loop_ratio(phi, theta0, loss)))
-    else:
-        step = np.asarray(step, dtype=float)
-        outside = ~((step > 0.0) & (step <= 1e-3))
-        if np.any(outside):
-            raise ParameterError(f"step must lie in (0, 1e-3], got {float(step[outside].flat[0])}")
-    phi = np.asarray(phi)
-    # Twice the central-difference slope of upsilon at step/2 and at step.
-    half, full = ((closed_form(phi + h, theta0, loss).upsilon
-                   - closed_form(phi - h, theta0, loss).upsilon) / h for h in (0.5 * step, step))
-    slope = (4.0 * half - full) / 3.0
+    _, feedback, denom = _denominator(phi, theta0, loss)
+    slope = -1j * np.exp(-1j * np.asarray(phi)) * ((1.0 - feedback) / denom) ** 2  # 2s
     return np.abs(slope.real), np.abs(slope)
 
 
 def _factor_vs_derivative(name: str, closed, numeric) -> CheckResult:
-    """Closed factor versus finite-difference values on a derivative grid,
+    """Closed factor versus exact-derivative values on a derivative grid,
     relative.
 
     Points where the factor is below SMALL_VALUE_FLOOR are excluded: near
@@ -179,13 +163,13 @@ def _factor_vs_derivative(name: str, closed, numeric) -> CheckResult:
 
 
 def hd_factor_vs_derivative(closed, numeric) -> CheckResult:
-    """Closed homodyne factor versus finite-difference error propagation."""
-    return _factor_vs_derivative("homodyne factor vs finite difference", closed, numeric)
+    """Closed homodyne factor versus twice the real part of the coefficient slope."""
+    return _factor_vs_derivative("homodyne factor vs exact derivative", closed, numeric)
 
 
 def qcrb_factor_vs_derivative(closed, numeric) -> CheckResult:
     """Closed bound factor versus twice the modulus of the coefficient slope."""
-    return _factor_vs_derivative("qcrb factor vs finite difference", closed, numeric)
+    return _factor_vs_derivative("qcrb factor vs exact derivative", closed, numeric)
 
 
 def photon_factor_consistency(coef: RecycledCoefficients, lambda3) -> CheckResult:
@@ -206,11 +190,11 @@ def _identity_checks(points: np.ndarray, losses) -> tuple[CheckResult, ...]:
 
 
 def _derivative_checks(grid_n: int, losses) -> tuple[CheckResult, ...]:
-    """Both factor checks on one finite-difference pass over the grid."""
+    """Both factor checks on one exact-derivative pass over the grid."""
     axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
     phi, theta0 = axis[:, None], axis[None, :]
     loss = np.asarray(losses, dtype=float)[:, None, None]
-    hd, qcrb = finite_difference_factors(phi, theta0, loss)
+    hd, qcrb = derivative_factors(phi, theta0, loss)
     return (hd_factor_vs_derivative(lambda1_values(phi, theta0, loss), hd),
             qcrb_factor_vs_derivative(lambda2_values(phi, theta0, loss), qcrb))
 
@@ -239,8 +223,8 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if grid_n < 2:
         raise ParameterError(f"derivative grid needs at least 2 points per axis, got {grid_n}")
-    # The finite-difference comparisons need loss > 0 to stay clear of the
-    # lossless resonance; fall back to the stock losses otherwise.
+    # An even grid holds the lossless pole, so the derivative comparisons
+    # need loss > 0; fall back to the stock losses otherwise.
     derivative_losses = tuple(l for l in losses if l > 0.0) or DERIVATIVE_LOSSES
     for what, count in ((f"{points} points", points * len(losses)),
                         (f"{grid_n}x{grid_n} grid", grid_n**2 * len(derivative_losses))):

@@ -62,6 +62,10 @@ GOLDEN = {
         "d98f8be6ac1667a61e9411f01b5474fb3aa67da48cf894d67139b9fe8080a5c1",
     "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60 --format json":
         "cf184505073782fc8e45097bc452a1fd862d6af721704e28da11f20a997b54b9",
+    # The two derivative lines changed when the exact phase derivative of
+    # upsilon replaced the Richardson finite differences, and were renamed
+    # "vs exact derivative" (5.059e-09 -> 3.996e-13, 2.731e-09 -> 2.834e-13);
+    # before that the digest was af3f499a...7948.
     # The two finite-difference lines changed when the derivative oracle
     # became Richardson-extrapolated at step 1e-4 (3.015e-07 -> 5.059e-09,
     # 8.286e-08 -> 2.731e-09); before that the digest was 3460da15...407e.
@@ -69,7 +73,7 @@ GOLDEN = {
     # by repeated squaring (4.530e-14 -> 4.441e-14); before that the digest
     # was eb0c5f93...8c35.
     "verify":
-        "af3f499a70b8f0abbd5e66e2671cdeb951db75de5ecd6e6f5913eb378e3e7948",
+        "91b98a560cb2bff339bd4fa9f1d8a322a6f17bfb1b9468fbfdc6e7e91605fd9e",
 }
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from recycled_mzi import (
     LoopParameters,
-    ParameterError,
     ResonantPoleError,
     closed_form,
     lambda1_values,
@@ -18,7 +17,7 @@ from recycled_mzi.loop import POLE_THRESHOLD, loop_ratio
 from recycled_mzi.metrology import KERNEL_POLE_THRESHOLD
 from recycled_mzi.verification import (
     DERIVATIVE_RTOL,
-    finite_difference_factors,
+    derivative_factors,
     output_normalization,
 )
 
@@ -31,12 +30,12 @@ def angle_grid(n=100):
     return np.linspace(0.0, 2 * math.pi, n, endpoint=False)
 
 
-def fd_lambda1(params, step=1e-6):
-    return float(finite_difference_factors(params.phi, params.theta0, params.loss, step)[0])
+def derivative_lambda1(params):
+    return float(derivative_factors(params.phi, params.theta0, params.loss)[0])
 
 
-def fd_lambda2(params, step=1e-6):
-    return float(finite_difference_factors(params.phi, params.theta0, params.loss, step)[1])
+def derivative_lambda2(params):
+    return float(derivative_factors(params.phi, params.theta0, params.loss)[1])
 
 
 class TestHomodyneMoments:
@@ -87,18 +86,17 @@ def test_scalar_and_array_kernel_calls_agree():
 
 class TestLambda1Numeric:
     def test_reference_optimum(self):
-        assert fd_lambda1(REFERENCE, step=1e-5) == pytest.approx(9.32, abs=1e-2)
+        assert derivative_lambda1(REFERENCE) == pytest.approx(9.32, abs=1e-2)
 
     def test_blocked_loop(self):
         params = LoopParameters(phi=math.pi / 2, theta0=0.0, loss=1.0)
-        assert fd_lambda1(params, step=1e-5) == pytest.approx(1.0, abs=1e-6)
+        assert derivative_lambda1(params) == pytest.approx(1.0, abs=1e-6)
 
     def test_stationary_origin(self):
         params = LoopParameters(phi=0.0, theta0=0.0, loss=0.1)
-        assert fd_lambda1(params, step=1e-5) < 1e-4
+        assert derivative_lambda1(params) < 1e-4
 
     def test_agrees_with_closed_form_on_grid(self):
-        step = 1e-6
         phi = angle_grid(50)[:, None]
         theta0 = angle_grid(50)[None, :]
         for loss in (0.05, 0.10, 0.15, 0.20):
@@ -107,25 +105,21 @@ class TestLambda1Numeric:
                 for j in range(0, 50, 7):
                     if closed[i, j] < 1e-3:
                         continue
-                    numeric = fd_lambda1(
+                    numeric = derivative_lambda1(
                         LoopParameters(phi=float(phi[i, 0]), theta0=float(theta0[0, j]),
-                                       loss=loss), step)
+                                       loss=loss))
                     assert numeric == pytest.approx(closed[i, j], rel=1e-6)
 
     def test_default_step_near_sharp_ridge(self):
         # Point (449, 25) of `verify --grid 1000` at L = 0.05, where lambda1
         # is small and steep: a plain central difference at step 1e-6 is
-        # 1.4e-6 off there, over DERIVATIVE_RTOL.
+        # 1.4e-6 off there, over DERIVATIVE_RTOL, and finite differences
+        # needed a step chosen per point.  The exact derivative needs none.
         axis = angle_grid(1000)
         phi, theta0 = axis[449], axis[25]
         closed = lambda1_values(phi, theta0, 0.05)
-        numeric = finite_difference_factors(phi, theta0, 0.05)[0]
+        numeric = derivative_factors(phi, theta0, 0.05)[0]
         assert abs(numeric - closed) / closed < DERIVATIVE_RTOL
-
-    @pytest.mark.parametrize("step", [0.0, -1e-6, 2e-3, np.array([1e-4, 2e-3, 1e-5])])
-    def test_step_domain(self, step):
-        with pytest.raises(ParameterError):
-            fd_lambda1(REFERENCE, step)
 
 
 class TestLambda2:
@@ -143,8 +137,8 @@ class TestLambda2:
         params = LoopParameters(phi=0.0, theta0=0.0, loss=0.1)
         factor = merit_report(params).lambda2
         assert factor == pytest.approx(1.9 - 2 * math.sqrt(0.9), rel=1e-12)
-        # Cross-check through the finite-difference bound.
-        assert fd_lambda2(params) == pytest.approx(factor, rel=1e-5)
+        # Cross-check through the exact-derivative bound.
+        assert derivative_lambda2(params) == pytest.approx(factor, rel=1e-5)
 
     def test_lower_bounds_homodyne_factor(self):
         phi = angle_grid(60)[:, None]
@@ -168,15 +162,11 @@ class TestQcrbGeneral:
     # information of a coherent output with unit covariance.
     def test_blocked_loop_reaches_shot_noise(self):
         params = LoopParameters(phi=math.pi / 2, theta0=0.0, loss=1.0)
-        assert 1.0 / fd_lambda2(params) == pytest.approx(1.0, abs=1e-6)
+        assert 1.0 / derivative_lambda2(params) == pytest.approx(1.0, abs=1e-6)
 
     def test_consistent_with_closed_factor_at_reference(self):
-        assert 1.0 / fd_lambda2(REFERENCE) == pytest.approx(1.0 / merit_report(REFERENCE).lambda2,
-                                                             abs=1e-6)
-
-    def test_step_domain(self):
-        with pytest.raises(ParameterError):
-            fd_lambda2(REFERENCE, step=1.0)
+        assert 1.0 / derivative_lambda2(REFERENCE) == pytest.approx(
+            1.0 / merit_report(REFERENCE).lambda2, abs=1e-6)
 
 
 class TestPhotonNumbers:
