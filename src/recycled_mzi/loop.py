@@ -7,10 +7,11 @@ Closing the loop sums a geometric series in the loop ratio
 
 which contracts whenever L > 0.  Two array routes compute the coefficients,
 both broadcasting over (phi, theta0, loss): `closed_form` evaluates the
-summed series directly; `cascade` composes the m recycling passes of the
-equivalent cascade of single interferometers (one pass per stage) into
-gamma**m and the partial sum 1 + gamma + ... + gamma**(m-1) by repeated
-squaring, and serves as an independent numerical oracle.
+summed series directly; `cascade` composes m recycling passes of the
+equivalent cascade of single interferometers (one pass per stage), the same
+m at every point, into gamma**m and the partial sum 1 + gamma + ... +
+gamma**(m-1) by repeated squaring, and serves as an independent numerical
+oracle.
 
 Vacuum bookkeeping: the cascade feeds vacuum into the first stage's unused
 port and through every loss splitter.  Vacuum modes are phase-insensitive
@@ -23,10 +24,11 @@ the closed form are meaningful for its magnitude only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, ResonantPoleError
+from .errors import ParameterError, ResonantPoleError
 from .optics import _raise_where, check_loss, mzi_entries
 
 # Below this loop-denominator magnitude the steady state is numerically
@@ -101,7 +103,8 @@ def closed_form(phi, theta0, loss) -> RecycledCoefficients:
 
 
 def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
-    """Coefficients after a finite number of recycling passes (broadcasts).
+    """Coefficients after `passes` recycling passes (broadcasts over the
+    phases and the loss; every point makes the same integer count of passes).
 
     A pass feeds the second output of one stage, attenuated by sqrt(1-L)
     and rotated by exp(-i*theta0), plus sqrt(L) of fresh vacuum, into the
@@ -109,30 +112,30 @@ def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
     rate |gamma|.  passes=0 is the conventional interferometer with no
     recycling.
 
-    Each point makes its own number of passes.  After m passes the port b
-    holds seed = gamma**m of the first stage's vacuum and total = 1 + gamma
-    + ... + gamma**(m - 1) times each per-pass offset: feedback*s21 of the
-    input and sqrt(L) of the loss vacuum.  With power = gamma**(2**j) and
-    block = 1 + ... + gamma**(2**j - 1), 2**j more passes map seed ->
-    power*seed and total -> power*total + block, and squaring maps (power,
-    block) -> (power**2, block*(1 + power)).  A point takes that step where
-    bit j of its count is set, so the cost is one array step per bit of the
-    largest count.  No step divides by 1 - gamma, which keeps the route
+    After m passes the port b holds seed = gamma**m of the first stage's
+    vacuum and total = 1 + gamma + ... + gamma**(m - 1) times each per-pass
+    offset: feedback*s21 of the input and sqrt(L) of the loss vacuum.  With
+    power = gamma**(2**j) and block = 1 + ... + gamma**(2**j - 1), 2**j more
+    passes map seed -> power*seed and total -> power*total + block, and
+    squaring maps (power, block) -> (power**2, block*(1 + power)).  The
+    cascade takes that step for each set bit j of m, so it costs one array
+    step per bit of m.  No step divides by 1 - gamma, which keeps the route
     independent of `closed_form`.
     """
-    passes = np.asarray(passes)
-    if np.any(passes < 0):
-        raise ParameterError(f"recycling passes must be >= 0, got {int(passes.min())}")
+    if isinstance(passes, bool) or not isinstance(passes, Integral) or passes < 0:
+        raise ParameterError(f"recycling passes must be an integer >= 0, got {passes!r}")
+    passes = int(passes)
     s11, s12, s21, s22 = mzi_entries(phi)
     feedback = _feedback(theta0, loss)
-    shape = np.broadcast_shapes(np.shape(phi), np.shape(theta0), np.shape(loss), passes.shape)
+    shape = np.broadcast_shapes(np.shape(phi), np.shape(theta0), np.shape(loss))
 
     seed, total = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
     power, block = feedback * s22, 1.0
-    for bit in range(int(passes.max(initial=0)).bit_length()):
-        seed = np.where((passes >> bit) & 1, power * seed, seed)
-        total = np.where((passes >> bit) & 1, power * total + block, total)
-        power, block = power * power, block * (1.0 + power)
+    for bit in range(passes.bit_length()):
+        if bit:
+            power, block = power * power, block * (1.0 + power)
+        if passes >> bit & 1:
+            seed, total = power * seed, power * total + block
     coef_in, coef_vac = feedback * s21 * total, np.sqrt(loss) * total
 
     return RecycledCoefficients(
@@ -142,25 +145,3 @@ def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
         vac_b=np.hypot(np.abs(s22 * seed), np.abs(s22 * coef_vac)) + 0j,
     )
 
-
-def passes_for_tolerance(phi, theta0, loss, tol: float):
-    """Smallest m with |gamma|**m < tol per point (broadcasts).
-
-    m recycling passes bring the cascade's truncation error under tol.
-    Raises ConvergenceError where the loop does not contract.  The count
-    fits int64: |gamma| < 1 means |gamma| <= 1 - 2**-53, so m stays below
-    about 6.7e18 < 2**63 for every double tol > 0.
-    """
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    gmag = np.abs(loop_ratio(phi, theta0, loss))
-    _raise_where(~(gmag < 1.0), ConvergenceError,
-                 "loop ratio magnitude >= 1: the series does not contract", phi, theta0, loss)
-    # Log estimate, then correct for rounding at the boundary.
-    with np.errstate(divide="ignore"):
-        m = np.maximum(1.0, np.ceil(np.log(tol) / np.log(gmag))).astype(np.int64)
-    while np.any(short := gmag**m >= tol):
-        m = m + short
-    while np.any(long := (m > 1) & (gmag ** (m - 1) < tol)):
-        m = m - long
-    return m

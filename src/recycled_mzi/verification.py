@@ -22,10 +22,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError
-from .loop import RecycledCoefficients, _denominator, cascade, closed_form, passes_for_tolerance
+from .errors import ConvergenceError, ParameterError
+from .loop import RecycledCoefficients, _denominator, cascade, closed_form, loop_ratio
 from .metrology import lambda1_values, lambda2_values, lambda3_values
-from .optics import LoopParameters, check_loss
+from .optics import LoopParameters, _raise_where, check_loss
 
 DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
@@ -44,9 +44,10 @@ SMALL_VALUE_FLOOR = 1e-3
 # Most (point, loss) pairs one suite of `run_all` may evaluate: exactly a
 # 1000x1000 derivative grid at the six default losses.  Peak memory grows
 # linearly with them, about 47 bytes each on the derivative grid (the slope of
-# peak RSS between `verify --points 1` at --grid 500 and 1000) and 265 on the
-# sampled points (numpy 2.4.6, x86-64), so a run at the cap peaks near 0.3 GB
-# or 1.6 GB respectively.
+# peak RSS between `verify --points 1` at --grid 500 and 1000) and 262 on the
+# sampled points (between `--points 10**6` and 6*10**6 at one loss; numpy
+# 2.4.6, x86-64), so a run at the cap peaks near 0.3 GB or 1.6 GB
+# respectively.
 MAX_POINT_LOSSES = 6 * 10**6
 
 
@@ -99,12 +100,22 @@ def _worst(deviation) -> float:
 def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
     """Iterated cascade versus summed closed form.
 
-    Each point makes the recycling passes that bring its loop-ratio power
-    under STAGE_TOL.
+    Every point makes the same 2**k recycling passes, with k the fewest
+    squarings that bring the sample's largest loop-ratio magnitude under
+    STAGE_TOL, so each point's truncation stays below it.  That magnitude,
+    sqrt(1-L)*|sin(phi/2)|, peaks at the smallest loss; an empty loss list
+    counts as the blocked loop L = 1.  Raises ConvergenceError where it does
+    not contract.
     """
     phi, theta0, loss = _at_losses(points, losses)
-    passes = passes_for_tolerance(phi, theta0, loss, STAGE_TOL)
-    iterated = cascade(phi, theta0, loss, passes)
+    least = loss.min(initial=1.0)
+    gmag = np.abs(loop_ratio(phi, theta0, least))
+    _raise_where(~(gmag < 1.0), ConvergenceError,
+                 "loop ratio magnitude >= 1: the series does not contract", phi, theta0, least)
+    power, doublings = gmag.max(), 0
+    while power >= STAGE_TOL:
+        power, doublings = power * power, doublings + 1
+    iterated = cascade(phi, theta0, loss, 2**doublings)
     closed = closed_form(phi, theta0, loss)
     worst = max(
         _worst(iterated.upsilon - closed.upsilon),

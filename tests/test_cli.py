@@ -505,10 +505,11 @@ class TestVerify:
         oracle_line = next(line for line in out.splitlines() if "oracle" in line)
         assert "0.000e+00" in oracle_line
 
-    # From the lossless loop, where a point near phi = pi makes up to ~9e9
-    # cascade passes, up to the blocked one.  The floor 5e-5 sits above the loss, about
-    # 3e-5, below which the lambda2 kernel itself loses digits at (pi, 0),
-    # so the qcrb check would fail for the kernel's sake, not the oracle's.
+    # From the lossless loop, where every point of the default sample makes
+    # the 2**34 (~1.7e10) cascade passes a point near phi = pi needs, up to
+    # the blocked one.  The floor 5e-5 sits above the loss, about 3e-5,
+    # below which the lambda2 kernel itself loses digits at (pi, 0), so the
+    # qcrb check would fail for the kernel's sake, not the oracle's.
     @pytest.mark.parametrize("sizes", [(), ("--grid", "200", "--points", "100")])
     def test_passes_across_losses(self, capsys, sizes):
         losses = ",".join(["0"] + [repr(float(loss)) for loss in np.geomspace(5e-5, 1, 25)])

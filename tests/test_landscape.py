@@ -241,8 +241,11 @@ class TestLossCurve:
         assert all(v > 1.0 for v in values)
 
     def test_moderate_loss_still_beats_conventional(self):
-        (record,) = loss_curve("lambda1", [0.10])
-        assert record.lambda_max > 1.0
+        # The paper's claim that recycling beats the conventional
+        # interferometer, up to losses near total: max lambda1 reads about
+        # 2.74, 1.53, 1.15 and 1.05 at L = 0.5, 0.9, 0.99 and 0.999.
+        records = loss_curve("lambda1", [0.10, 0.5, 0.9, 0.99, 0.999])
+        assert all(record.lambda_max > 1.0 for record in records)
 
     def test_bound_curve_dominates_homodyne_curve(self):
         losses = [0.05, 0.10, 0.15, 0.20]

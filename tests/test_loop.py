@@ -16,9 +16,10 @@ from recycled_mzi import (
     mzi_entries,
     verification,
 )
-from recycled_mzi.loop import loop_ratio, passes_for_tolerance
+from recycled_mzi.loop import loop_ratio
 from recycled_mzi.verification import (
     ORACLE_TOL,
+    STAGE_TOL,
     closed_form_coefficients,
     oracle_equivalence,
     sample_points,
@@ -33,6 +34,22 @@ ORACLE_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 def random_points(n=1000, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2 * math.pi, size=(n, 2))
+
+
+def oracle_passes(points, losses):
+    """`oracle_equivalence` at points x losses and the one pass count it
+    hands to `cascade`."""
+    counts = []
+
+    def recorded(phi, theta0, loss, passes):
+        counts.append(passes)
+        return cascade(phi, theta0, loss, passes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "cascade", recorded)
+        result = oracle_equivalence(np.atleast_2d(points), losses)
+    (passes,) = counts
+    return result, passes
 
 
 def test_loop_ratio_magnitude():
@@ -129,7 +146,8 @@ class TestIterateSeries:
     def test_converges_to_closed_form(self):
         points = random_points(20, seed=13)
         phi, theta0 = points[:, 0], points[:, 1]
-        iterated = cascade(phi, theta0, 0.10, passes_for_tolerance(phi, theta0, 0.10, 1e-12))
+        # |gamma| <= sqrt(0.9), and sqrt(0.9)**1024 < 1e-23.
+        iterated = cascade(phi, theta0, 0.10, 1024)
         closed = closed_form(phi, theta0, 0.10)
         assert np.max(np.abs(iterated.upsilon - closed.upsilon)) < 1e-10
         assert np.max(np.abs(iterated.xi - closed.xi)) < 1e-10
@@ -137,38 +155,44 @@ class TestIterateSeries:
         assert np.max(np.abs(np.abs(iterated.vac_b) - np.abs(closed.vac_b))) < 1e-10
 
     def test_rejects_zero_stages(self):
-        with pytest.raises(ParameterError, match=r">= 0, got -1"):
-            cascade(1.0, 0.0, 0.5, -1)
+        # One count for the whole call: a non-negative integer, of Python
+        # or numpy type, but not a flag.
+        for bad in (-1, np.int64(-1), True, np.True_, 2.0, np.float64(2.0),
+                    np.array(2), np.array([1, 2])):
+            with pytest.raises(ParameterError, match=r"integer >= 0, got"):
+                cascade(1.0, 0.0, 0.5, bad)
 
     def test_lockstep_matches_point_by_point_recursion(self):
-        # Every point of one array call carries its own pass count; the
-        # reference steps each point alone in plain complex arithmetic.
+        # Every point of one array call makes the same passes, counted by a
+        # Python or numpy integer; the reference steps each point alone in
+        # plain complex arithmetic.
         points = random_points(40, seed=29)
-        passes = np.arange(40) % 7 * 9
-        batch = cascade(points[:, 0], points[:, 1], 0.2, passes)
-        for k, (phi, theta0) in enumerate(points):
-            s11, s12, s21, s22 = (complex(s) for s in mzi_entries(phi))
-            feedback = math.sqrt(0.8) * cmath.exp(-1j * theta0)
-            coef_in, coef_seed, coef_vac = 0j, 1 + 0j, 0j
-            for _ in range(passes[k]):
-                coef_in = feedback * s22 * coef_in + feedback * s21
-                coef_seed = feedback * s22 * coef_seed
-                coef_vac = feedback * s22 * coef_vac + math.sqrt(0.2)
-            expected = {
-                "upsilon": s11 + s12 * coef_in,
-                "vac_a": math.hypot(abs(s12 * coef_seed), abs(s12 * coef_vac)),
-                "xi": s21 + s22 * coef_in,
-                "vac_b": math.hypot(abs(s22 * coef_seed), abs(s22 * coef_vac)),
-            }
-            for field, value in expected.items():
-                assert abs(getattr(batch, field)[k] - value) < 1e-13 * max(1, abs(value))
+        for passes in (0, 1, 2, np.int32(9), 27, np.uint64(54)):
+            batch = cascade(points[:, 0], points[:, 1], 0.2, passes)
+            for k, (phi, theta0) in enumerate(points):
+                s11, s12, s21, s22 = (complex(s) for s in mzi_entries(phi))
+                feedback = math.sqrt(0.8) * cmath.exp(-1j * theta0)
+                coef_in, coef_seed, coef_vac = 0j, 1 + 0j, 0j
+                for _ in range(passes):
+                    coef_in = feedback * s22 * coef_in + feedback * s21
+                    coef_seed = feedback * s22 * coef_seed
+                    coef_vac = feedback * s22 * coef_vac + math.sqrt(0.2)
+                expected = {
+                    "upsilon": s11 + s12 * coef_in,
+                    "vac_a": math.hypot(abs(s12 * coef_seed), abs(s12 * coef_vac)),
+                    "xi": s21 + s22 * coef_in,
+                    "vac_b": math.hypot(abs(s22 * coef_seed), abs(s22 * coef_vac)),
+                }
+                for field, value in expected.items():
+                    assert abs(getattr(batch, field)[k] - value) < 1e-13 * max(1, abs(value))
 
     def test_peak_memory_per_point(self):
         # The passes compose on two complex arrays, gamma**m and the partial
-        # sum: ~240 bytes per point at the peak.
+        # sum: ~240 bytes per point at the peak.  2**11 passes is the count
+        # the oracle picks for these points at L = 0.05.
         points = random_points(10**5, seed=31)
         phi, theta0 = points[:, 0], points[:, 1]
-        passes = passes_for_tolerance(phi, theta0, 0.05, verification.STAGE_TOL)
+        passes = 2**11
         tracemalloc.start()
         try:
             cascade(phi, theta0, 0.05, passes)
@@ -179,81 +203,60 @@ class TestIterateSeries:
 
 
 class TestStagesForTolerance:
-    """`passes_for_tolerance`: the fewest recycling passes m with
-    |gamma|**m < tol, the count `cascade` takes."""
+    """The pass count of `oracle_equivalence`: 2**k for the fewest k with
+    max|gamma|**(2**k) < STAGE_TOL over the sample, one count for every point."""
 
     def test_dead_loop_needs_one_stage(self):
-        assert passes_for_tolerance(1.0, 0.0, 1.0, 1e-12) == 1
+        # An empty loss list leaves nothing to check and counts as the dead
+        # loop.
+        for losses in ((1.0,), ()):
+            result, passes = oracle_passes([1.0, 0.0], losses)
+            assert passes == 1
+            assert result.deviation == 0.0
 
     # phi=pi makes |sin(phi/2)| = 1, so |gamma| = sqrt(1-L) exactly.
     def test_half_ratio(self):
-        assert passes_for_tolerance(math.pi, 0.3, 0.75, 1e-12) == 40
+        assert oracle_passes([math.pi, 0.3], (0.75,))[1] == 64
 
+    # The smallest loss sets the count for every loss of the sample.
     def test_nine_tenths_ratio(self):
-        assert passes_for_tolerance(math.pi, 0.3, 0.19, 1e-9) == 197
+        points = [[math.pi, 0.3], [1.0, 2.0]]
+        assert oracle_passes(points, (0.75, 0.19, 0.5))[1] == 512
 
-    # |gamma| = 0.5 exactly, so the log estimate k of tol = 0.5**k is one
-    # pass short: 0.5**k < tol fails, and the correction adds a pass.
-    @pytest.mark.parametrize("k", [10, 20, 40])
-    def test_log_estimate_one_pass_short(self, k):
-        assert passes_for_tolerance(math.pi, 0.0, 0.75, 0.5**k) == k + 1
-
-    # Found by a seeded search: tol lies one ulp above |gamma|**20, yet the
-    # rounded log estimate is 21, so the correction removes a pass.
-    def test_log_estimate_one_pass_long(self):
-        phi, theta0, loss = 0.4540560545967532, 3.141421899600922, 0.7466565044898218
-        tol = 1.213232935752659e-19
-        gmag = abs(loop_ratio(phi, theta0, loss))
-        assert np.ceil(np.log(tol) / np.log(gmag)) == 21
-        assert gmag**20 < tol <= gmag**19
-        assert passes_for_tolerance(phi, theta0, loss, tol) == 20
-
-    @given(phi=angles, theta0=angles, loss=st.floats(min_value=0.05, max_value=0.99),
-           tol=st.floats(min_value=1e-14, max_value=1e-3))
+    @given(phi=angles, theta0=angles, loss=st.floats(min_value=0.05, max_value=0.99))
     @settings(max_examples=200)
-    def test_result_is_minimal(self, phi, theta0, loss, tol):
-        m = passes_for_tolerance(phi, theta0, loss, tol)
+    def test_result_is_minimal(self, phi, theta0, loss):
+        _, m = oracle_passes([phi, theta0], (loss,))
         gmag = abs(loop_ratio(phi, theta0, loss))
-        assert gmag**m < tol
+        assert type(m) is int and m & (m - 1) == 0
+        assert gmag**m < STAGE_TOL
         if m > 1:
-            assert gmag ** (m - 1) >= tol
+            assert gmag ** (m // 2) >= STAGE_TOL
 
     def test_brute_force_agreement(self):
-        # Independent route: count multiplications directly.
+        # Independent route: count multiplications directly for the
+        # sample's largest ratio, then round up to a power of two.
         points = random_points(25, seed=17)
-        counts = []
-        for phi, theta0 in points:
-            gmag = abs(loop_ratio(phi, theta0, 0.4))
-            power, count = 1.0, 0
-            while power >= 1e-10:
-                power *= gmag
-                count += 1
-            counts.append(count)
-        passes = passes_for_tolerance(points[:, 0], points[:, 1], 0.4, 1e-10)
-        np.testing.assert_array_equal(passes, counts)
+        gmag = max(abs(loop_ratio(phi, theta0, 0.4)) for phi, theta0 in points)
+        power, count = 1.0, 0
+        while power >= STAGE_TOL:
+            power *= gmag
+            count += 1
+        assert oracle_passes(points, (0.4,))[1] == 1 << (count - 1).bit_length()
 
     def test_noncontracting_loop_rejected(self):
-        with pytest.raises(ConvergenceError):
-            passes_for_tolerance(math.pi, 1.0, 0.0, 1e-9)
+        with pytest.raises(ConvergenceError, match=r"phi=3.14.*loss=0.0"):
+            oracle_equivalence(np.array([[1.0, 0.0], [math.pi, 1.0]]), (0.5, 0.0))
 
     def test_slowly_contracting_loop(self):
         # |gamma| = sqrt(1 - 1e-9) needs ~6.4e10 passes for 1e-14; squaring
-        # composes them in 36 array steps.
+        # composes 2**36 of them in 36 squarings.
         phi, theta0, loss = math.pi, 1.0, 1e-9
-        m = passes_for_tolerance(phi, theta0, loss, 1e-14)
+        result, m = oracle_passes([phi, theta0], (loss,))
         gmag = abs(loop_ratio(phi, theta0, loss))
-        assert 6e10 < m < 7e10
-        assert gmag**m < 1e-14 <= gmag ** (m - 1)
-        iterated = cascade(phi, theta0, loss, m)
-        closed = closed_form(phi, theta0, loss)
-        for field in ("upsilon", "xi"):
-            assert abs(getattr(iterated, field) - getattr(closed, field)) < ORACLE_TOL
-        for field in ("vac_a", "vac_b"):
-            assert abs(abs(getattr(iterated, field)) - abs(getattr(closed, field))) < ORACLE_TOL
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ParameterError):
-            passes_for_tolerance(1.0, 0.0, 0.5, 0.0)
+        assert m == 2**36
+        assert gmag**m < STAGE_TOL <= gmag ** (m // 2)
+        assert result.deviation < ORACLE_TOL
 
 
 class TestSteadyStateInvariants:
@@ -262,15 +265,16 @@ class TestSteadyStateInvariants:
         assert result.deviation < 1e-10
 
     def test_oracle_near_phi_zero(self):
-        # At phi = 5e-5 the loop ratio is ~1.8e-5, so passes_for_tolerance
-        # asks for 3 passes; a cascade one pass short misses 1e-10.
+        # At phi = 5e-5 the loop ratio is ~1.8e-5, so the oracle makes 4
+        # passes; a cascade of 2 passes would miss 1e-10.
         result = oracle_equivalence(np.array([[5e-5, 1.0]]), (0.5,))
         assert result.deviation < 1e-13
 
     def test_single_stage_fails(self, monkeypatch):
         # One interferometer, no recycling: far from the steady state.  The
         # suite must catch a cascade truncated to no passes at all.
-        monkeypatch.setattr(verification, "passes_for_tolerance", lambda *args: 0)
+        monkeypatch.setattr(verification, "cascade",
+                            lambda phi, theta0, loss, passes: cascade(phi, theta0, loss, 0))
         assert not oracle_equivalence(sample_points(100)).passed
 
     def test_normalization_and_energy_balance(self):
@@ -290,12 +294,12 @@ class TestSteadyStateInvariants:
 
 
 def test_run_all_evaluates_each_route_once(monkeypatch):
-    # One exact-derivative pass serves both factor checks, one cascade the
-    # oracle, and two closed forms of the sample the oracle and the three
-    # identities.  The results and their order do not depend on the count.
+    # One exact-derivative pass serves both factor checks, one cascade of
+    # one pass count the oracle, and two closed forms of the sample the
+    # oracle and the three identities.  The results and their order do not depend on the count.
     kwargs = {"points": 7, "seed": 3, "losses": (0.1, 0.5), "grid_n": 5}
     expected = verification.run_all(**kwargs)
-    calls = []
+    calls, passes = [], []
 
     def counted(name):
         original = getattr(verification, name)
@@ -303,6 +307,8 @@ def test_run_all_evaluates_each_route_once(monkeypatch):
         def wrapper(phi, *args, **kwargs):
             calls.append((name, np.broadcast_shapes(np.shape(phi), np.shape(args[0]),
                                                     np.shape(args[1]))))
+            if name == "cascade":
+                passes.append(args[2])
             return original(phi, *args, **kwargs)
         monkeypatch.setattr(verification, name, wrapper)
 
@@ -316,4 +322,5 @@ def test_run_all_evaluates_each_route_once(monkeypatch):
     names = [name for name, _ in calls]
     assert names.count("derivative_factors") == 1
     assert names.count("cascade") == 1
+    assert len(passes) == 1 and type(passes[0]) is int
     assert calls.count(("closed_form", (2, 7))) == 2
