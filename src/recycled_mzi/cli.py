@@ -46,11 +46,11 @@ def _format_number(value: float) -> str:
 # The vectorized NUMBER_FORMAT of `format_values`.  Its fast path covers
 # x in [1e-4, 1e12), where "%.12g" prints fixed notation: with
 # k = floor(log10 x), the 12-digit mantissa m = rint(x * 10**(11 - k)) is
-# printed as "0000" + its digits with a '.' inserted after byte k + 5, the
-# trailing zeros of the fraction (and a bare '.') dropped, and then the
-# pad's first min(k + 4, 4) bytes dropped.  The text of one value is built
-# in three uint64 words, first byte lowest, and read back as `S24`.
-_U64 = np.uint64
+# printed digit by digit, with a '.' after the units digit when a nonzero
+# digit follows it, and a leading "0." and zeros when k < 0.  So the text
+# is fixed by k and the place of m's last nonzero digit, and each byte of
+# it is one byte of a 16-byte source row: m's 12 digits, then "0.", then
+# NUL bytes.
 _FAST_MIN, _FAST_MAX = 1e-4, 1e12
 # 10**0 ... 10**15, each exact in a double.
 _POWERS_OF_TEN = 10.0 ** np.arange(16)
@@ -58,30 +58,45 @@ _POWERS_OF_TEN = 10.0 ** np.arange(16)
 # from a half, rint gives the correctly rounded mantissa; nearer, the value
 # takes the per-value route.
 _TIE_MARGIN = 0.5 - 2.0 ** -11
-_ASCII_ZEROS = _U64(0x3030303030303030)
 # Values per `format_values` call in `sweep_csv`.  At 16384 a 400 x 400 grid
-# formatted ~1 ms faster (best of 20) and a process peaked ~2 MB higher.
+# formatted ~0.5 ms faster (medians of 8 best-of-20 runs) and a process
+# peaked ~2.4 MB higher, mostly the 17-column gather index of 8-byte
+# entries: 136 bytes a value.
 FORMAT_BLOCK_VALUES = 4096
 
 
-def _byte_masks(count: int) -> list[np.ndarray]:
-    """Word w of each 24-byte mask whose first n bytes are set, n < count."""
-    return [np.array([(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(count)], _U64)
-            for w in range(3)]
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each quad q < 10**4 as one 4-byte word of ASCII digits, "0000" ...
+    "9999", and the place (0-3) of its last nonzero digit; a quad of zeros
+    has place -12, below every other quad's."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    words = np.stack(digits + ord("0"), axis=1).view(np.uint32).ravel()
+    return words, np.where(digits > 0, np.arange(4)[:, None], -12).max(axis=0)
 
 
-_BELOW = _byte_masks(17)
-_KEEP = _byte_masks(18)
-_DOT = [np.array([ord(".") << 8 * (n - 8 * w) if 0 <= n - 8 * w < 8 else 0
-                  for n in range(17)], _U64) for w in range(3)]
+def _layouts() -> np.ndarray:
+    """For each k in [-4, 11] and last-digit place in [0, 11], which source
+    byte fills each of the 17 text bytes: row (k + 4) * 12 + last.  Source
+    bytes 0-11 are m's digits, 12 a '0', 13 the '.' and 14 a NUL."""
+    k = np.arange(-4, 12)[:, None, None]
+    last = np.arange(12)[None, :, None]
+    byte = np.arange(17)
+    # Printed places run from min(k, 0) (a leading 0 when k < 0) to
+    # max(k, last); place p < 0 is a '0', place p >= 0 digit p of m.
+    first = np.minimum(k, 0)
+    units = k - first
+    fraction = last > k
+    place = first + byte - (byte > units)
+    length = np.where(fraction, last - first + 2, units + 1)
+    source = np.where(place < 0, 12, place)
+    source = np.where(fraction & (byte == units + 1), 13, source)
+    return np.where(byte < length, source, 14).reshape(192, 17)
 
 
-def _digit_bytes(lanes: np.ndarray) -> np.ndarray:
-    """Each 32-bit lane (< 10**4) as four digit bytes 0-9, first digit lowest."""
-    tens = ((lanes * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)  # // 100
-    lanes = tens | ((lanes - tens * _U64(100)) << _U64(16))
-    tens = ((lanes * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # // 10
-    return tens | ((lanes - tens * _U64(10)) << _U64(8))
+_QUAD_WORDS, _QUAD_LAST = _quad_tables()
+# A source row's last word: bytes 12-15, "0." and two NULs.
+_TAIL_WORD = np.frombuffer(b"0.\0\0", np.uint32)[0]
+_LAYOUTS = _layouts()
 
 
 def format_values(values: np.ndarray) -> list[bytes]:
@@ -105,42 +120,22 @@ def format_values(values: np.ndarray) -> list[bytes]:
     # [1e11, 1e12), except where x rounds to that power, whose text it gives.
     fast &= ((np.abs(scaled - mantissa) < _TIE_MARGIN)
              & (mantissa >= 1e11) & (mantissa < 1e12))
-    mantissa = mantissa.astype(_U64)
-    first4 = mantissa // _U64(10**8)
-    last8 = mantissa - first4 * _U64(10**8)
-    middle4 = last8 // _U64(10**4)
-    # Word 0 is the "0000" pad and the first 4 digits, word 1 the last 8.
-    digits = np.empty((len(values), 2), _U64)
-    digits[:, 0] = first4 << _U64(32)
-    digits[:, 1] = middle4 | ((last8 - middle4 * _U64(10**4)) << _U64(32))
-    digits = _digit_bytes(digits)
-    # The last nonzero digit's byte, from the float exponent of each word's
-    # highest set bit (a word of zero digits has exponent 0).
-    exponents = digits.astype(np.float64).view(np.int64) >> 52
-    last = (np.maximum(exponents[:, 1] + 64, exponents[:, 0]) - 1023) >> 3
-    digits |= _ASCII_ZEROS
-    word0, word1 = digits[:, 0], digits[:, 1]
-    dot = exponent + 5
-    length = np.where(last >= dot, last + 2, dot)
-    below0, below1 = _BELOW[0][dot], _BELOW[1][dot]
-    above0, above1 = word0 & ~below0, word1 & ~below1
-    # Insert the '.' by moving the bytes at and after it one byte up, then
-    # clear the bytes past the text.
-    text0 = ((word0 & below0) | (above0 << _U64(8)) | _DOT[0][dot]) & _KEEP[0][length]
-    text1 = ((word1 & below1) | (above1 << _U64(8)) | (above0 >> _U64(56))
-             | _DOT[1][dot]) & _KEEP[1][length]
-    text2 = ((above1 >> _U64(56)) | _DOT[2][dot]) & _KEEP[2][length]
-    # Drop the pad: a right shift by `drop` bits across the words.  The carry
-    # moves in two shifts, so that none is by 64 bits (drop = 0): C leaves
-    # that shift undefined, and this code does not rely on numpy's answer.
-    drop = (np.minimum(dot, 5) * 8 - 8).astype(_U64)
-    carry = _U64(63) - drop
-    words = np.empty((len(values), 3), _U64)
-    words[:, 0] = (text0 >> drop) | ((text1 << carry) << _U64(1))
-    words[:, 1] = (text1 >> drop) | ((text2 << carry) << _U64(1))
-    words[:, 2] = text2 >> drop
-    # `tolist` drops the NUL bytes that pad each text to 24.
-    texts = words.view("S24").ravel().tolist()
+    # The rest take the mantissa 1e11, so that every quad is below 10**4.
+    mantissa = np.where(fast, mantissa, 1e11).astype(np.int64)
+    first, rest = np.divmod(mantissa, 10**8)
+    middle, end = np.divmod(rest, 10**4)
+    last = np.maximum(np.maximum(_QUAD_LAST.take(first), _QUAD_LAST.take(middle) + 4),
+                      _QUAD_LAST.take(end) + 8)
+    # Source rows of 16 bytes: the three quads' digits, then "0." and NULs.
+    source = np.empty((len(values), 4), np.uint32)
+    source[:, 0] = _QUAD_WORDS.take(first)
+    source[:, 1] = _QUAD_WORDS.take(middle)
+    source[:, 2] = _QUAD_WORDS.take(end)
+    source[:, 3] = _TAIL_WORD
+    gather = _LAYOUTS.take((exponent + 4) * 12 + last, axis=0)
+    gather += np.arange(0, 16 * len(values), 16)[:, None]
+    # `tolist` drops the NUL bytes that pad each text to 17.
+    texts = source.view(np.uint8).ravel().take(gather).view("S17").ravel().tolist()
     slow = np.flatnonzero(~fast)
     for index, value in zip(slow.tolist(), values[slow].tolist()):
         texts[index] = (NUMBER_FORMAT % value).encode("ascii")

@@ -267,6 +267,15 @@ class TestFormatValues:
         values = np.concatenate([powers, below, np.nextafter(below, 0.0),
                                  above, np.nextafter(above, np.inf)])
         assert cli.format_values(values) == percent_texts(values)
+        # One value per text layout of the fast path, exponent k in [-4, 11]
+        # and last nonzero digit at each place of 12, and its neighbours:
+        # random doubles almost never print fewer than 7 digits.
+        k = np.arange(-4, 12)[:, None]
+        digits = 10**11 + 7 * 10 ** (11 - np.arange(12))
+        layouts = (digits / 10.0 ** (11 - k)).ravel()
+        values = np.concatenate([layouts, np.nextafter(layouts, 0.0),
+                                 np.nextafter(layouts, np.inf)])
+        assert cli.format_values(values) == percent_texts(values)
 
     def test_values_off_the_fast_path(self):
         values = np.array([0.0, -0.0, 5e-324, -2.5e-310, -3.0, 1e12, 999999999999.5,
