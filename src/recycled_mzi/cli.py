@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .errors import ModelError
-from .landscape import SweepGrid, loss_curve, sweep
+from .landscape import SEARCH_LOSS_FLOOR, SweepGrid, loss_curve, sweep
 from .metrology import METRICS, merit_report
 from .optics import LoopParameters
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", help="maximize one factor over a loss list")
     optimize.add_argument("--metric", required=True, choices=sorted(METRICS))
     optimize.add_argument("--losses", required=True,
-                          help="comma-separated losses, each in (0, 1]")
+                          help=f"comma-separated losses, each in [{SEARCH_LOSS_FLOOR:g}, 1]")
     optimize.add_argument("--grid-seed", type=int, default=200,
                           help="coarse grid size per axis (default 200)")
     optimize.add_argument("--tol", type=float, default=1e-8,

@@ -484,6 +484,23 @@ class TestOptimize:
         code, _, _ = run_cli(capsys, "optimize", "--metric", "lambda1", "--losses", ",")
         assert code == 2
 
+    @pytest.mark.parametrize("losses", ["1e-6", "0.1,1e-6"])
+    def test_loss_below_the_search_floor_exits_2_before_any_grid(self, capsys, losses):
+        argv = ("optimize", "--metric", "lambda1", "--losses", losses)
+        # Once untraced, so that argparse's first-call caches do not count.
+        run_cli(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ParameterError",
+                                   "reason": "loss must lie in [4e-06, 1], got 1e-06"}
+        # The 200 x 200 seed grid of 0.1 alone would take 320 kB.
+        assert peak < 200 * 200 * 8
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):
@@ -597,6 +614,9 @@ class TestVerify:
     # only the kernels' wider one.
     (("verify", "--losses", "1e-9"), "ResonantPoleError"),
     (("verify", "--losses", "1e-7"), "ResonantPoleError"),
+    # Below the search floor 4e-6, refused before the seed grid holds the
+    # pole at phi = pi, theta0 = 0.
+    (("optimize", "--metric", "lambda1", "--losses", "1e-6"), "ParameterError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

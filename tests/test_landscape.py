@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from recycled_mzi import (
     merit_report,
     sweep,
 )
-from recycled_mzi import landscape
+from recycled_mzi import landscape, metrology
 from recycled_mzi.landscape import OptimumRecord
-from recycled_mzi.metrology import METRICS
+from recycled_mzi.metrology import KERNEL_POLE_THRESHOLD, METRICS
 
 TWO_PI = 2 * math.pi
 
@@ -112,6 +113,24 @@ class TestSweep:
                                 theta0=float(grid.theta0_points[9]), loss=0.15)
         assert grid.values[4, 9] == merit_report(params).lambda1
 
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_row_blocks_equal_one_kernel_call(self, metric):
+        # 300 columns: blocks of 219 rows, the last one short.
+        grid = sweep(metric, 0.15, 500, 300)
+        whole = METRICS[metric](grid.phi_points[:, None], grid.theta0_points[None, :], 0.15)
+        np.testing.assert_array_equal(grid.values, whole)
+
+    def test_peak_memory_near_the_grid(self):
+        # The kernel runs on row blocks, so its temporaries stay small
+        # beside the grid it fills.
+        tracemalloc.start()
+        try:
+            grid = sweep("lambda1", 0.1, 2000, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid.values.nbytes
+
     @pytest.mark.parametrize("kwargs", [
         {"metric_tag": "lambda9", "loss": 0.1, "n_phi": 10, "n_theta0": 10},
         {"metric_tag": "lambda1", "loss": 0.0, "n_phi": 10, "n_theta0": 10},
@@ -154,6 +173,13 @@ class TestMaximize:
         for loss in (0.01, 0.05, 0.10, 0.20, 0.5, 1.0):
             record = maximize("lambda3", loss)
             assert record.lambda_max == pytest.approx(1.0 / loss, rel=1e-8)
+
+    def test_small_loss_precision_envelope(self):
+        # README's envelope at L = 1e-3, below the 1e-8 pinned from 0.01 up:
+        # 1.3e-6 and 1.2e-6 measured.
+        loss = 1e-3
+        assert maximize("lambda2", loss).lambda_max == pytest.approx(1.0 + 1.0 / loss, rel=2e-6)
+        assert maximize("lambda3", loss).lambda_max == pytest.approx(1.0 / loss, rel=2e-6)
 
     def test_bit_identical_reruns(self):
         first = maximize("lambda1", 0.10)
@@ -286,6 +312,13 @@ class TestLossCurve:
     def test_empty_list(self):
         assert loss_curve("lambda1", []) == []
 
+    def test_refuses_a_loss_below_the_search_floor(self, monkeypatch):
+        monkeypatch.setattr(landscape, "sweep",
+                            lambda *_, **__: pytest.fail("grid built before the floor was checked"))
+        below = np.nextafter(landscape.SEARCH_LOSS_FLOOR, 0.0)
+        with pytest.raises(ParameterError, match=r"loss must lie in \[4e-06, 1\]"):
+            loss_curve("lambda1", [0.1, below])
+
     @pytest.mark.parametrize("loss, grid_seed", [(0.1, np.int64(20)), (np.float32(0.25), 20)])
     def test_records_hold_plain_numbers(self, loss, grid_seed):
         (record,) = loss_curve("lambda2", [loss], grid_seed=grid_seed, tol=1e-4)
@@ -402,31 +435,11 @@ class TestLockstepCurve:
             loss_curve(metric, [0.1], grid_seed=2, tol=1e-6)
         assert shapes == [(2, 2), (4, 4, 13, 13)]
 
-    @pytest.mark.parametrize("metric", sorted(METRICS))
-    def test_pole_in_a_patch_retries_one_step(self, monkeypatch, metric):
-        """A patch point inside the kernel's pole guard makes that call take
-        one step per row; the records stay those of the search alone."""
-        losses, kwargs = [0.2, 0.05, 0.1], {"grid_seed": 20, "tol": 1e-6}
-        expected = loss_curve(metric, losses, **kwargs)
-        kernel = METRICS[metric]
-        refused = []
-
-        def guarded(phi, theta0, loss):
-            shape = np.broadcast(phi, theta0, loss).shape
-            if len(shape) == 4 and shape[2] > 1:
-                refused.append(shape)
-                raise ResonantPoleError("patch point inside the pole guard")
-            return kernel(phi, theta0, loss)
-
-        monkeypatch.setitem(METRICS, metric, guarded)
-        assert loss_curve(metric, losses, **kwargs) == expected
-        assert refused
-
     def test_pole_on_the_path_still_raises(self, monkeypatch):
         kernel = METRICS["lambda1"]
 
         def guarded(phi, theta0, loss):
-            # Every compass call, the one-step retry included.
+            # Every compass call.
             if np.ndim(phi) == 4:
                 raise ResonantPoleError("a probe on the path")
             return kernel(phi, theta0, loss)
@@ -471,3 +484,26 @@ class TestPhotonFactorArgmax:
                 max(wrapped_distance(record.phi_star, p), wrapped_distance(record.theta0_star, t))
                 for p, t in ((phi, theta0), (TWO_PI - phi, TWO_PI - theta0)))
             assert distance < tolerance, (loss, distance)
+
+
+class TestSearchLossFloor:
+    """From SEARCH_LOSS_FLOOR up no kernel call can meet the pole guard.
+
+    |1 - gamma| is least at (pi, 0) and its 2*pi images, where half_denom_sq
+    = 2(1 - sqrt(1 - L))**2 >= L**2/2: four times the guard at the floor.
+    """
+
+    @pytest.mark.parametrize("loss", [landscape.SEARCH_LOSS_FLOOR,
+                                      1.5 * landscape.SEARCH_LOSS_FLOOR, 1e-5])
+    def test_guard_cannot_trip_at_or_above_the_floor(self, loss):
+        assert landscape.SEARCH_LOSS_FLOOR == 4.0 * KERNEL_POLE_THRESHOLD
+        centres = np.array([(math.pi + TWO_PI * i, TWO_PI * j)
+                            for i in (-1, 0, 1) for j in (-1, 0, 1)]).T
+        offsets = np.random.default_rng(29).uniform(-1e-5, 1e-5, (2, 9, 20000))
+        phi, theta0 = np.concatenate([centres, (centres[..., None] + offsets).reshape(2, -1)],
+                                     axis=1)
+        for kernel in METRICS.values():
+            assert np.isfinite(kernel(phi, theta0, loss)).all()
+        half_denom_sq = metrology._trig_pieces(phi, theta0, loss)[4]
+        guard = 2.0 * KERNEL_POLE_THRESHOLD**2
+        assert half_denom_sq.min() >= 4.0 * guard - 32 * np.finfo(float).eps
