@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .errors import ModelError
-from .landscape import SEARCH_LOSS_FLOOR, SweepGrid, loss_curve, sweep
+from .landscape import SEARCH_LOSS_FLOOR, SweepGrid, block_rows, loss_curve, sweep
 from .metrology import METRICS, merit_report
 from .optics import LoopParameters
 
@@ -37,10 +37,6 @@ EXIT_USAGE = 2
 
 # Every number in CSV output: 12 significant digits.
 NUMBER_FORMAT = "%.12g"
-
-
-def _format_number(value: float) -> str:
-    return NUMBER_FORMAT % value
 
 
 # The vectorized NUMBER_FORMAT of `format_values`.  Its fast path covers
@@ -58,11 +54,6 @@ _POWERS_OF_TEN = 10.0 ** np.arange(16)
 # from a half, rint gives the correctly rounded mantissa; nearer, the value
 # takes the per-value route.
 _TIE_MARGIN = 0.5 - 2.0 ** -11
-# Values per `format_values` call in `sweep_csv`.  At 16384 a 400 x 400 grid
-# formatted ~0.5 ms faster (medians of 8 best-of-20 runs) and a process
-# peaked ~2.4 MB higher, mostly the 17-column gather index of 8-byte
-# entries: 136 bytes a value.
-FORMAT_BLOCK_VALUES = 4096
 
 
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +162,6 @@ def _write_text(text: str, out_path: str | None) -> None:
     _write_chunks((text,), out_path)
 
 
-def _radians(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
-
-
 def _parse_losses(text: str) -> list[float]:
     try:
         losses = [float(item) for item in text.split(",") if item.strip()]
@@ -186,8 +173,8 @@ def _parse_losses(text: str) -> list[float]:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    params = LoopParameters(phi=_radians(args.phi, args.degrees),
-                            theta0=_radians(args.theta0, args.degrees),
+    angle = math.radians if args.degrees else float
+    params = LoopParameters(phi=angle(args.phi), theta0=angle(args.theta0),
                             loss=args.loss, alpha_mag=args.alpha)
     # The MeritReport fields in order; complex coefficients as [re, im].
     payload = {key: [value.real, value.imag] if isinstance(value, complex) else value
@@ -201,22 +188,21 @@ def sweep_csv(grid: SweepGrid) -> Iterator[str]:
 
     Yields the header line, then one chunk of lines per phi row, so the text
     of the whole grid is never held at once.  The values are formatted by
-    `format_values`, a block of about FORMAT_BLOCK_VALUES at a time, and
+    `format_values` over the row blocks `landscape.sweep` evaluates, and
     each row is one `%` operation on a per-grid bytes template.  The NUL
     that marks the phi field never occurs in a formatted number.
     """
     yield "phi,theta0,value\n"
     theta0_points = grid.theta0_points.tolist()
-    template = "".join([f"\0,{_format_number(theta0)},%s\n"
+    template = "".join([f"\0,{NUMBER_FORMAT % theta0},%s\n"
                         for theta0 in theta0_points]).encode("ascii")
-    width = max(len(theta0_points), 1)
-    block_rows = max(FORMAT_BLOCK_VALUES // width, 1)
+    width, rows = len(theta0_points), block_rows(len(theta0_points))
     phi_points = grid.phi_points.tolist()
-    for start in range(0, len(phi_points), block_rows):
-        texts = format_values(np.ravel(grid.values[start:start + block_rows]))
-        for offset, phi in enumerate(phi_points[start:start + block_rows]):
+    for start in range(0, len(phi_points), rows):
+        texts = format_values(np.ravel(grid.values[start:start + rows]))
+        for offset, phi in enumerate(phi_points[start:start + rows]):
             row = tuple(texts[offset * width:(offset + 1) * width])
-            yield (template.replace(b"\0", _format_number(phi).encode("ascii")) % row
+            yield (template.replace(b"\0", (NUMBER_FORMAT % phi).encode("ascii")) % row
                    ).decode("ascii")
 
 
@@ -234,7 +220,7 @@ OPTIMIZE_HEADER = "loss,metric,lambda_max,phi_star,theta0_star,evaluations"
 
 def _optimize_csv(records) -> str:
     lines = [OPTIMIZE_HEADER]
-    lines.extend(",".join(_format_number(value) if isinstance(value, float) else str(value)
+    lines.extend(",".join(NUMBER_FORMAT % value if isinstance(value, float) else str(value)
                           for value in dataclasses.astuple(record))
                  for record in records)
     return "\n".join(lines) + "\n"

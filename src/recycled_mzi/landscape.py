@@ -32,12 +32,13 @@ from .optics import check_loss
 
 TWO_PI = 2.0 * math.pi
 
-# 2000 x 2000 cells: `sweep --loss 0.1 --n 2000 --out` takes 1.1-1.9 s and
-# peaks at 62-63 MB RSS for each metric (CLI child; Python 3.11, numpy 2.4,
-# 2 vCPU): the 30.5 MB grid, whose kernel runs SWEEP_BLOCK_VALUES at a time.
-# The 168 MB of CSV text is streamed row by row.
+# 2000 x 2000 cells: `sweep --loss 0.1 --n 2000 --out` takes 1.1-1.4 s and
+# peaks at 63-64 MB RSS for each metric (CLI child; Python 3.11, numpy 2.4,
+# 2 vCPU): the 30.5 MB grid, evaluated and formatted SWEEP_BLOCK_VALUES at a
+# time.  The 168 MB of CSV text is streamed row by row.
 MAX_GRID_POINTS = 4 * 10**6
-SWEEP_BLOCK_VALUES = 2**16
+# A whole-grid kernel call peaked at 122-153 MB, 2**16-value blocks at 83-84 MB.
+SWEEP_BLOCK_VALUES = 2**13
 # |1 - gamma| >= 1 - sqrt(1 - L) >= L/2 on the torus, so from this loss up
 # half_denom_sq >= L**2/2 is at least four times the kernels' pole guard.
 SEARCH_LOSS_FLOOR = 4.0 * KERNEL_POLE_THRESHOLD
@@ -81,6 +82,11 @@ class OptimumRecord:
     evaluations: int
 
 
+def block_rows(n_theta0: int) -> int:
+    """Rows per block of both sweep loops, ceil(SWEEP_BLOCK_VALUES / n_theta0)."""
+    return -(-SWEEP_BLOCK_VALUES // max(n_theta0, 1))
+
+
 def _check_metric(metric_tag: str) -> None:
     if metric_tag not in METRICS:
         raise ParameterError(f"unknown metric {metric_tag!r}; expected one of {sorted(METRICS)}")
@@ -114,7 +120,7 @@ def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     theta0 = np.linspace(0.0, TWO_PI, n_theta0, endpoint=False)
     kernel, values = METRICS[metric_tag], np.empty((n_phi, n_theta0))
-    rows = -(-SWEEP_BLOCK_VALUES // n_theta0)
+    rows = block_rows(n_theta0)
     for start in range(0, n_phi, rows):
         values[start:start + rows] = kernel(phi[start:start + rows, None], theta0, loss)
     return SweepGrid(phi_points=phi, theta0_points=theta0, values=values)

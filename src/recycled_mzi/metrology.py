@@ -45,7 +45,10 @@ class MeritReport:
     dphi_hd and dphi_qcrb are the homodyne sensitivity and the quantum
     Cramer-Rao bound in radians; they are +inf where the corresponding
     factor vanishes or the input carries no photons.  upsilon and xi are the
-    closed-form loop coefficients the photon numbers derive from.
+    closed-form loop coefficients the photon numbers derive from.  With
+    t = sqrt(1-L), A = |1 - t*e^{i*theta0}|**2, B = |1 + t*e^{i*(theta0+phi)}|**2
+    and h = half_denom_sq = 2|1 - gamma|**2: lambda2 = 2A/h, lambda3 = (A + B)/h
+    and 2*lambda3 - lambda2 = 2B/h >= 0 (tests/test_kernel_algebra.py).
     """
 
     lambda1: float
@@ -101,13 +104,17 @@ def lambda1_values(phi, theta0, loss):
 
 
 def lambda2_values(phi, theta0, loss):
-    """Quantum Cramer-Rao enhancement factor, broadcasting."""
+    """Quantum Cramer-Rao enhancement factor 2A/h, broadcasting, with
+    A = |1 - t*e^{i*theta0}|**2, t = sqrt(1-L), and h = half_denom_sq =
+    2|1 - gamma|**2 (`MeritReport`, tests/test_kernel_algebra.py)."""
     loss, trans, _, cos_theta0, half_denom_sq = _trig_pieces(phi, theta0, loss)[:5]
     return np.abs(2.0 * (2.0 - loss - 2.0 * trans * cos_theta0) / half_denom_sq)
 
 
 def lambda3_values(phi, theta0, loss):
-    """Circulating-photon enhancement factor, broadcasting.
+    """Circulating-photon enhancement factor (A + B)/h, broadcasting, with A
+    and h as in `lambda2_values` and B = |1 + t*e^{i*(theta0+phi)}|**2, so
+    2*lambda3 - lambda2 = 2B/h (tests/test_kernel_algebra.py).
 
     Equals |upsilon|**2 + |xi|**2 and is >= 1 for every loss in (0, 1]:
     recycling can only add photons to the interferometer.

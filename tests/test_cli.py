@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from recycled_mzi import cli, verification
+from recycled_mzi import cli, landscape, verification
 from recycled_mzi.cli import main
 from recycled_mzi.errors import ModelError
 from recycled_mzi.landscape import MAX_GRID_POINTS, SweepGrid, sweep
@@ -301,7 +301,7 @@ class TestFormatValues:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("loss", [1e-4, 1e-3, 0.05, 0.5, 1.0])
     def test_landscapes_match_per_cell_text(self, metric, loss):
-        # 257 values a row: 15 rows a block, so nine blocks, the last of 10 rows.
+        # 257 values a row: 32 rows a block, so five blocks, the last of 2 rows.
         grid = sweep(metric, loss, 130, 257)
         chunks = list(cli.sweep_csv(grid))
         assert len(chunks) == 1 + 130
@@ -309,9 +309,24 @@ class TestFormatValues:
 
     @pytest.mark.parametrize("block", [1, 5, 7, 35])
     def test_block_size_changes_no_byte(self, monkeypatch, block):
+        # One constant sets the row blocks of both the kernel and the
+        # formatter: 7 values a row, so ceil(block / 7) rows a block.
+        calls = {"kernel": 0, "format": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(landscape, "SWEEP_BLOCK_VALUES", block)
+        monkeypatch.setitem(landscape.METRICS, "lambda2",
+                            counted("kernel", landscape.METRICS["lambda2"]))
+        monkeypatch.setattr(cli, "format_values", counted("format", cli.format_values))
         grid = sweep("lambda2", 0.3, 9, 7)
-        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", block)
         chunks = list(cli.sweep_csv(grid))
+        blocks = -(-9 // -(-block // 7))
+        assert calls == {"kernel": blocks, "format": blocks}
         assert len(chunks) == 1 + 9
         assert "".join(chunks) == per_cell_sweep_csv(grid)
 

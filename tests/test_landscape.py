@@ -115,7 +115,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_row_blocks_equal_one_kernel_call(self, metric):
-        # 300 columns: blocks of 219 rows, the last one short.
+        # 300 columns: blocks of 28 rows, the last one short.
         grid = sweep(metric, 0.15, 500, 300)
         whole = METRICS[metric](grid.phi_points[:, None], grid.theta0_points[None, :], 0.15)
         np.testing.assert_array_equal(grid.values, whole)
@@ -180,6 +180,12 @@ class TestMaximize:
         loss = 1e-3
         assert maximize("lambda2", loss).lambda_max == pytest.approx(1.0 + 1.0 / loss, rel=2e-6)
         assert maximize("lambda3", loss).lambda_max == pytest.approx(1.0 / loss, rel=2e-6)
+
+    def test_homodyne_small_loss_envelope(self):
+        # README's envelope for lambda1 at L = 1e-3: the compass stops 4.6e-6
+        # below the 40-digit maximum 673.7344493 and prints 673.731318983.
+        reference = 673.7344493
+        assert reference * (1.0 - 5e-6) <= maximize("lambda1", 1e-3).lambda_max < reference
 
     def test_bit_identical_reruns(self):
         first = maximize("lambda1", 0.10)
