@@ -227,8 +227,7 @@ def _optimize_csv(records) -> str:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    records = loss_curve(args.metric, _parse_losses(args.losses),
-                         grid_seed=args.grid_seed, tol=args.tol)
+    records = loss_curve(args.metric, _parse_losses(args.losses))
     if args.format == "json":
         text = json.dumps([dataclasses.asdict(record) for record in records], indent=2) + "\n"
     else:
@@ -305,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--metric", required=True, choices=sorted(METRICS))
     optimize.add_argument("--losses", required=True,
                           help=f"comma-separated losses, each in [{SEARCH_LOSS_FLOOR:g}, 1]")
-    optimize.add_argument("--grid-seed", type=int, default=200,
-                          help="coarse grid size per axis (default 200)")
-    optimize.add_argument("--tol", type=float, default=1e-8,
-                          help="refinement step tolerance (default 1e-8)")
     optimize.add_argument("--format", choices=("csv", "json"), default="csv")
     optimize.add_argument("--out", default=None)
     optimize.set_defaults(handler=cmd_optimize)

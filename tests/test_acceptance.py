@@ -197,8 +197,7 @@ def test_criterion_9_byte_determinism(capsys, tmp_path):
         commands = [
             ("point", "--phi", "2.5702", "--theta0", "0.3524", "--loss", "0.10"),
             ("sweep", "--metric", "lambda1", "--loss", "0.10", "--n", "100"),
-            ("optimize", "--metric", "lambda2", "--losses", "0.05,0.2",
-             "--grid-seed", "80"),
+            ("optimize", "--metric", "lambda2", "--losses", "0.05,0.2"),
             ("verify", "--points", "150"),
         ]
         for argv in commands:

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from recycled_mzi import cli, landscape, verification
@@ -416,10 +416,8 @@ verify_grids = (st.integers(-40, 40)
 def test_verify_argv_contract(points, seed, grid, losses):
     """The exit contract of `verify` for generated argv.
 
-    Draws past a cap must be refused before anything is allocated.  The same
-    property for `optimize` waits for an iteration bound on the compass
-    search: `--grid-seed 2` does not terminate today (ROADMAP item 5), and
-    the draws are not narrowed to hide that.
+    Draws past a cap must be refused before anything is allocated.
+    `test_optimize_argv_contract` states the same contract for `optimize`.
     """
     argv = ["verify"]
     for flag, value in (("points", points), ("seed", seed), ("grid", grid), ("losses", losses)):
@@ -454,7 +452,93 @@ def test_verify_argv_contract(points, seed, grid, losses):
         assert out.endswith("verification FAILED\n" if code == 1 else "all checks passed\n")
 
 
+# Loss lists for `optimize`: about half are accepted losses from [0.01, 1],
+# where a search takes tens of milliseconds; the rest mix those with
+# refused losses on both sides of [4e-6, 1], edge floats, and empty and
+# malformed items.
+searched_losses = st.floats(0.01, 1.0).map(repr)
+optimize_loss_lists = (
+    st.lists(searched_losses, min_size=1, max_size=3)
+    | st.lists(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1", "1.5", "-0.1", "1e-6",
+                                "3.9e-6", "5e-324", "1e308", "", " ", "abc", "0.1.2"])
+               | searched_losses
+               | st.floats(-1.0, landscape.SEARCH_LOSS_FLOOR, exclude_max=True).map(repr)
+               | st.floats(1.0, 1e300, exclude_min=True).map(repr), max_size=3)
+).map(",".join)
+# The flags `optimize` no longer has: none in about half the draws, else
+# one with a value.
+removed_flags = st.just(()) | st.sampled_from([("--grid-seed", "2"), ("--grid-seed=200",),
+                                               ("--tol", "1e-3"), ("--tol=1e-8",)])
+
+
+def accepted_losses(text):
+    """The losses `optimize --losses=text` searches, or None where it refuses them."""
+    try:
+        losses = [float(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        return None
+    floor = landscape.SEARCH_LOSS_FLOOR
+    return losses if losses and all(floor <= loss <= 1.0 for loss in losses) else None
+
+
+@given(metric=st.sampled_from(sorted(METRICS)),
+       losses=optimize_loss_lists,
+       form=st.sampled_from([None, "csv", "json"]), removed=removed_flags)
+@example(metric="lambda1", losses="0.1,,1", form="json", removed=())
+@settings(max_examples=100, deadline=None)
+def test_optimize_argv_contract(metric, losses, form, removed):
+    """The exit contract of `optimize` for generated argv.
+
+    Exactly the lists of losses in [4e-6, 1] run, and only without a
+    removed flag; a removed flag is a usage error, anything else refused a
+    domain error with one JSON line.
+    """
+    argv = ["optimize", "--metric", metric, f"--losses={losses}", *removed]
+    if form is not None:
+        argv.append(f"--format={form}")
+    expected = None if removed else accepted_losses(losses)
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if expected is None:
+        assert code == 2
+        assert out == ""
+        if removed:
+            assert err.startswith("usage: recycled-mzi")
+            assert f"unrecognized arguments: {' '.join(removed)}\n" in err
+        else:
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] in ("ModelError", "ParameterError")
+    else:
+        assert (code, err) == (0, "")
+        if form == "json":
+            printed = [record["loss"] for record in json.loads(out)]
+        else:
+            printed = [float(row[0]) for row in read_csv(out)[1]]
+        assert printed == pytest.approx(expected, rel=1e-11)
+
+
 class TestOptimize:
+    @pytest.mark.parametrize("flag", [("--grid-seed", "2"), ("--tol", "1e-3")])
+    def test_search_options_are_gone(self, capsys, monkeypatch, flag):
+        # No search may start: at `--grid-seed 2` one never returned.
+        monkeypatch.setattr(cli, "loss_curve", lambda *_: pytest.fail("search started"))
+        code, out, err = run_cli(capsys, "optimize", "--metric", "lambda3", "--losses", "0.1",
+                                 *flag)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_help_lists_no_search_options(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize", "--help")
+        assert code == 0
+        assert "--losses" in out
+        assert "--grid-seed" not in out and "--tol" not in out
+
     def test_reference_optimum_csv(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--metric", "lambda1",
                                "--losses", "0.10")
@@ -476,14 +560,13 @@ class TestOptimize:
         assert values == sorted(values, reverse=True)
 
     def test_blocked_loop_bound(self, capsys):
-        _, out, _ = run_cli(capsys, "optimize", "--metric", "lambda2", "--losses", "1.0",
-                            "--grid-seed", "100")
+        _, out, _ = run_cli(capsys, "optimize", "--metric", "lambda2", "--losses", "1.0")
         _, rows = read_csv(out)
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_json_format(self, capsys):
         _, out, _ = run_cli(capsys, "optimize", "--metric", "lambda2", "--losses",
-                            "0.2,0.5", "--format", "json", "--grid-seed", "60")
+                            "0.2,0.5", "--format", "json")
         payload = json.loads(out)
         assert [record["loss"] for record in payload] == [0.2, 0.5]
         for record in payload:
@@ -593,16 +676,12 @@ class TestVerify:
      "FileNotFoundError"),
     (("point", "--phi", "1", "--theta0", "0", "--loss", "0.1", "--alpha", "1e200"),
      "ParameterError"),
-    (("optimize", "--metric", "lambda1", "--losses", "0.1,0.2", "--grid-seed", "1"),
+    # Losses off the search's [4e-6, 1], anywhere in the list.
+    (("optimize", "--metric", "lambda1", "--losses", "nan"), "ParameterError"),
+    (("optimize", "--metric", "lambda2", "--losses", "0.1,inf", "--format", "json"),
      "ParameterError"),
-    (("optimize", "--metric", "lambda1", "--losses", "0.1", "--tol", "0.5", "--format", "json"),
-     "ParameterError"),
-    # A 74.5 GiB coarse grid: refused by the sweep size cap, not allocated.
-    (("optimize", "--metric", "lambda1", "--losses", "0.1", "--grid-seed", "100000"),
-     "ParameterError"),
-    # One past MAX_GRID_POINTS = 2000**2.
-    (("optimize", "--metric", "lambda1", "--losses", "0.1", "--grid-seed", "2001"),
-     "ParameterError"),
+    (("optimize", "--metric", "lambda3", "--losses=-0.1"), "ParameterError"),
+    (("optimize", "--metric", "lambda1", "--losses", "0.2,1.5"), "ParameterError"),
     (("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "2001"), "ParameterError"),
     # One past MAX_POINT_LOSSES at the six default losses.
     (("verify", "--points", "1000001"), "ParameterError"),
@@ -763,7 +842,7 @@ def test_module_entry_into_a_pipe_closed_before_it_starts(unbuffered):
 def test_module_entry_into_a_closed_pipe_with_a_small_output(unbuffered):
     # Buffered, the whole text waits in the buffer until `main` flushes it.
     child = run_into_closed_pipe([sys.executable, "-m", "recycled_mzi", "optimize", "--metric",
-                                  "lambda2", "--losses", "0.1", "--grid-seed", "20"], unbuffered)
+                                  "lambda2", "--losses", "0.1"], unbuffered)
     check_broken_pipe(child.returncode, child.stderr)
 
 
@@ -841,5 +920,5 @@ class TestDeterminism:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             run_cli(capsys, "optimize", "--metric", "lambda1", "--losses", "0.1,0.2",
-                    "--grid-seed", "80", "--out", str(path))
+                    "--out", str(path))
         assert a.read_bytes() == b.read_bytes()

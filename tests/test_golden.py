@@ -56,12 +56,13 @@ GOLDEN = {
         "31f6df166e8f5439805a9f19d4bad2514238c760a0f96592b396e50e8fe0b942",
     "optimize --metric lambda2 --losses 0.02,0.14,0.26,0.38,0.5":
         "eea82f1114d2854736933ab5fe4b1c6301ebd881b6746237766d58d8469666e0",
-    # The CSV lost its always-empty trailing error column; before that the
-    # digest was 97614211...79f4.
-    "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60":
-        "d98f8be6ac1667a61e9411f01b5474fb3aa67da48cf894d67139b9fe8080a5c1",
-    "optimize --metric lambda1 --losses 0.05,0.1,0.2 --grid-seed 60 --format json":
-        "cf184505073782fc8e45097bc452a1fd862d6af721704e28da11f20a997b54b9",
+    # These two ran at --grid-seed 60 (d98f8be6...a5c1, cf184505...54b9)
+    # until that flag was deleted; the digests below were recorded from the
+    # same argv without it at the commit before the deletion.
+    "optimize --metric lambda1 --losses 0.05,0.1,0.2":
+        "5aa8718e2b37839d84c280d3a568fadfef2d2489480ffab0143aa0357b1514b1",
+    "optimize --metric lambda1 --losses 0.05,0.1,0.2 --format json":
+        "02895bb69811268d951cfee322e0210ffbee3addb668d135296ffeed97ae338e",
     # The oracle line changed when every point of the sample began making
     # the same 2**k cascade passes, set by the sample's largest loop ratio,
     # instead of its own minimal count (4.441e-14 -> 1.986e-15); before that

@@ -66,7 +66,7 @@ LOADED_BY_COMMAND = (
 @pytest.mark.parametrize("argv,added", [
     (["--help"], []),
     (["sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "4"], []),
-    (["optimize", "--metric", "lambda3", "--losses", "0.1", "--grid-seed", "20"], []),
+    (["optimize", "--metric", "lambda3", "--losses", "0.1"], []),
     (["point", "--phi", "1", "--theta0", "0.5", "--loss", "0.1"], ["recycled_mzi.loop"]),
     (["verify", "--points", "20", "--grid", "5"],
      ["recycled_mzi.loop", "recycled_mzi.verification"]),
