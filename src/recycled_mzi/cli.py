@@ -207,9 +207,7 @@ def sweep_csv(grid: SweepGrid) -> Iterator[str]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    n_phi = args.n_phi if args.n_phi is not None else args.n
-    n_theta0 = args.n_theta0 if args.n_theta0 is not None else args.n
-    grid = sweep(args.metric, args.loss, n_phi, n_theta0)
+    grid = sweep(args.metric, args.loss, args.n, args.n)
     _write_chunks(sweep_csv(grid), args.out)
     return EXIT_OK
 
@@ -294,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--loss", type=float, required=True)
     sweep_cmd.add_argument("--n", type=int, default=200,
                            help="grid points per axis (default 200)")
-    sweep_cmd.add_argument("--n-phi", type=int, default=None, help="override phi axis size")
-    sweep_cmd.add_argument("--n-theta0", type=int, default=None,
-                           help="override theta0 axis size")
     sweep_cmd.add_argument("--out", default=None)
     sweep_cmd.set_defaults(handler=cmd_sweep)
 

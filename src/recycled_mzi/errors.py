@@ -14,5 +14,5 @@ class ResonantPoleError(ModelError):
 
 
 class ConvergenceError(ModelError):
-    """The recycling series does not contract fast enough to reach the tolerance."""
+    """A recycling loop that does not contract, or a compass search past its cap."""
 

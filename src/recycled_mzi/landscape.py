@@ -1,16 +1,10 @@
 """Parameter landscapes and their maxima.
 
 `sweep` rasterizes one enhancement factor over the (phi, theta0) torus at a
-fixed loss.  `loss_curve` locates the factor's maximum at each of a list of
-losses with a deterministic two-stage search: a coarse grid seed followed by
-compass (pattern) descent with a shrinking step from the best few grid
-cells.  The seeds of every loss search in lockstep, and a seed retires once
-its step falls below the tolerance, so the kernel calls follow the slowest
-loss rather than the sum over losses.  At a fixed step a seed can only move
-on its step lattice, so each kernel call evaluates a patch of that lattice
-ahead of every seed and resolves a whole stretch of its path: a ridge crawl
-of thousands of steps takes a few hundred calls.  `maximize` is its one-loss
-case.  No randomness anywhere, so results are reproducible bit for bit.
+fixed loss.  `loss_curve` locates its maximum at each of a list of losses by
+a deterministic grid-seeded compass (pattern) search, which its docstring
+describes; `maximize` is the one-loss case.  No randomness anywhere, so
+results are reproducible bit for bit.
 
 The landscapes are symmetric under (phi, theta0) -> (2*pi-phi, 2*pi-theta0),
 so maxima come in twin pairs; candidates whose refined values agree within a
@@ -26,7 +20,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .metrology import KERNEL_POLE_THRESHOLD, METRICS
 from .optics import check_loss
 
@@ -59,6 +53,11 @@ COMPASS = np.array([[1.0, -1.0, 0.0, 0.0],
 # evaluates ahead of each searching row has side sqrt(PATCH_POINTS / (4 * rows)),
 # so long loss lists fall back toward one step per call.
 PATCH_POINTS = 3000
+
+# Compass iterations one seed may take.  The default search's longest seed
+# takes 354 163 (lambda1 at the search floor); from a 2 x 2 grid a lambda3
+# seed crawls a ridge without end.
+MAX_COMPASS_ITERATIONS = 2**20
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,7 @@ def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
 
 def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
              tol: float = 1e-8) -> OptimumRecord:
-    """Locate the maximum of a factor over (phi, theta0) at fixed loss.
-
-    The one-loss case of `loss_curve`, which describes the search.
-    """
+    """The maximum of a factor over (phi, theta0) at one loss: `loss_curve`'s one-loss case."""
     return loss_curve(metric_tag, [loss], grid_seed=grid_seed, tol=tol)[0]
 
 
@@ -213,7 +209,7 @@ def _walk(kernel, pos, best, step, sign, loss, side):
             i + j + 1)
 
 
-def _compass(kernel, pos, best, row_loss, step0, tol):
+def _compass(metric_tag, pos, best, row_loss, step0, tol):
     """Lockstep compass search from every row; its final pos, best and iterations.
 
     Row r starts at (pos[0, r], pos[1, r]) = (phi, theta0) with value best[r]
@@ -222,8 +218,10 @@ def _compass(kernel, pos, best, row_loss, step0, tol):
     the rows still searching: a call costs at most PATCH_POINTS points,
     unless one step per row already costs more.  A row whose step falls
     below tol retires: its results are written back, it is never probed
-    again, and the side grows to fit the rows left.
+    again, and the side grows to fit the rows left.  A row past
+    MAX_COMPASS_ITERATIONS raises ConvergenceError.
     """
+    kernel = METRICS[metric_tag]
     final_pos, final_best = np.empty_like(pos), np.empty_like(best)
     iterations = np.zeros(best.size, dtype=np.int64)
     rows = np.arange(best.size)
@@ -235,6 +233,10 @@ def _compass(kernel, pos, best, row_loss, step0, tol):
         while (live := step >= tol).all():
             pos, best, step, sign, more = _walk(kernel, pos, best, step, sign, loss, side)
             iterations[rows] += more
+            if (over := iterations[rows] > MAX_COMPASS_ITERATIONS).any():
+                raise ConvergenceError(
+                    f"{metric_tag} search at loss {row_loss[rows][over][0]} took more than "
+                    f"{MAX_COMPASS_ITERATIONS} compass iterations")
         done = ~live
         final_pos[:, rows[done]], final_best[rows[done]] = pos[:, done], best[done]
         pos, sign = pos[:, live], sign[:, live]
@@ -257,7 +259,9 @@ def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
     still searching and resolves a stretch of its path (`_walk`); a seed whose
     step falls below tol retires and is never probed again.  So the calls
     follow the slowest loss rather than the sum over losses, and each seed
-    makes the moves it would make alone, one step at a time.  `evaluations`
+    makes the moves it would make alone, one step at a time: a ridge crawl of
+    thousands of steps takes a few hundred calls.  A seed past
+    MAX_COMPASS_ITERATIONS steps raises ConvergenceError.  `evaluations`
     counts the loss's coarse grid, the four probes of each step on its seeds'
     paths and the final re-evaluation: the probes the search reads, not the
     kernel points the patches spend.  Angles stay unwrapped during the search
@@ -290,7 +294,7 @@ def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
     best = np.concatenate([seed_best for _, seed_best in seeds])
     row_loss = np.repeat(np.asarray(losses, dtype=float), per_loss)
 
-    final_pos, final_best, iterations = _compass(kernel, pos, best, row_loss,
+    final_pos, final_best, iterations = _compass(metric_tag, pos, best, row_loss,
                                                  TWO_PI / grid_seed, tol)
     records = []
     for k, loss in enumerate(losses):

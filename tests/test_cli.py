@@ -137,11 +137,19 @@ class TestSweep:
         _, rows = read_csv(out)
         assert max(float(row[2]) for row in rows) > 1.0
 
-    def test_asymmetric_grid(self, capsys):
-        _, out, _ = run_cli(capsys, "sweep", "--metric", "lambda1", "--loss", "0.1",
-                            "--n-phi", "7", "--n-theta0", "5")
-        _, rows = read_csv(out)
-        assert len(rows) == 35
+    def test_axis_size_options_are_gone(self, capsys, monkeypatch):
+        # One size per axis is `--n` alone; the library's `sweep` keeps two.
+        monkeypatch.setattr(cli, "sweep", lambda *_: pytest.fail("sweep started"))
+        for flag in (("--n-phi", "7"), ("--n-theta0", "5")):
+            code, out, err = run_cli(capsys, "sweep", "--metric", "lambda1", "--loss", "0.1",
+                                     *flag)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: recycled-mzi")
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
+        code, out, _ = run_cli(capsys, "sweep", "--help")
+        assert code == 0
+        assert "--n N" in out
+        assert "--n-phi" not in out and "--n-theta0" not in out
 
     def test_invalid_grid_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--metric", "lambda1", "--loss", "0.1",
@@ -194,7 +202,7 @@ class TestStreamedSweep:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_out_file_bytes_equal_stdout_bytes(self, tmp_path, metric):
         argv = [sys.executable, "-m", "recycled_mzi", "sweep", "--metric", metric,
-                "--loss", "0.15", "--n-phi", "30", "--n-theta0", "20"]
+                "--loss", "0.15", "--n", "30"]
         target = tmp_path / "sweep.csv"
         to_stdout = subprocess.run(argv, capture_output=True, check=True)
         subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
@@ -331,26 +339,19 @@ class TestFormatValues:
         assert "".join(chunks) == per_cell_sweep_csv(grid)
 
 
-# Axis sizes: refused ones (negative, 0, 1), accepted ones up to 30, and ones
-# that take the grid over MAX_GRID_POINTS with any other accepted axis.
-axis_sizes = st.integers(-3, 30) | st.integers(MAX_GRID_POINTS // 2 + 1, 10**12)
+# Grid sizes: refused ones (negative, 0, 1), accepted ones up to 30, and ones
+# whose square grid holds more than MAX_GRID_POINTS.
+grid_sizes = st.integers(-3, 30) | st.integers(math.isqrt(MAX_GRID_POINTS) + 1, 10**12)
 sweep_losses = (st.sampled_from(["nan", "inf", "-inf", "0", "-0.1", "1", "1e-4", "1e-12",
                                  "1.5"])
                 | st.floats(-0.5, 1.5).map(repr))
 
 
-@given(metric=st.sampled_from(sorted(METRICS)), loss=sweep_losses, n=axis_sizes,
-       n_phi=st.none() | axis_sizes, n_theta0=st.none() | axis_sizes)
+@given(metric=st.sampled_from(sorted(METRICS)), loss=sweep_losses, n=grid_sizes)
 @settings(max_examples=150, deadline=None)
-def test_sweep_argv_contract(metric, loss, n, n_phi, n_theta0):
+def test_sweep_argv_contract(metric, loss, n):
     argv = ["sweep", "--metric", metric, f"--loss={loss}", f"--n={n}"]
-    if n_phi is not None:
-        argv.append(f"--n-phi={n_phi}")
-    if n_theta0 is not None:
-        argv.append(f"--n-theta0={n_theta0}")
-    rows = n if n_phi is None else n_phi
-    cols = n if n_theta0 is None else n_theta0
-    accepted = 0.0 < float(loss) <= 1.0 and 2 <= rows <= 30 and 2 <= cols <= 30
+    accepted = 0.0 < float(loss) <= 1.0 and 2 <= n <= 30
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -362,7 +363,7 @@ def test_sweep_argv_contract(metric, loss, n, n_phi, n_theta0):
         assert code == 2
         assert stdout.getvalue() == ""
     if code == 0:
-        assert stdout.getvalue().count("\n") == 1 + rows * cols
+        assert stdout.getvalue().count("\n") == 1 + n * n
 
 
 point_floats = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "1e308",
@@ -491,7 +492,8 @@ def test_optimize_argv_contract(metric, losses, form, removed):
 
     Exactly the lists of losses in [4e-6, 1] run, and only without a
     removed flag; a removed flag is a usage error, anything else refused a
-    domain error with one JSON line.
+    domain error with one JSON line.  A refusal allocates no seed grid:
+    its traced peak stays below 2**20 bytes, as `verify`'s does past a cap.
     """
     argv = ["optimize", "--metric", metric, f"--losses={losses}", *removed]
     if form is not None:
@@ -499,8 +501,15 @@ def test_optimize_argv_contract(metric, losses, form, removed):
     expected = None if removed else accepted_losses(losses)
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    if expected is None:
+        tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        if expected is None:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
     out, err = stdout.getvalue(), stderr.getvalue()
 
     assert code in (0, 2)
@@ -508,6 +517,7 @@ def test_optimize_argv_contract(metric, losses, form, removed):
     if expected is None:
         assert code == 2
         assert out == ""
+        assert peak < 2**20
         if removed:
             assert err.startswith("usage: recycled-mzi")
             assert f"unrecognized arguments: {' '.join(removed)}\n" in err
@@ -882,7 +892,7 @@ def test_help_into_a_closed_pipe(unbuffered, entry, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    *(("sweep", "--metric", metric, "--loss", "0.1", "--n-phi", "24", "--n-theta0", "17")
+    *(("sweep", "--metric", metric, "--loss", "0.1", "--n", "24")
       for metric in sorted(METRICS)),
     *(("optimize", "--metric", "lambda1", "--losses", "0.05,0.2", "--format", form)
       for form in ("csv", "json")),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from recycled_mzi import (
+    ConvergenceError,
     LoopParameters,
     ParameterError,
     ResonantPoleError,
@@ -21,6 +22,7 @@ from recycled_mzi import (
 from recycled_mzi import landscape, metrology
 from recycled_mzi.landscape import OptimumRecord
 from recycled_mzi.metrology import KERNEL_POLE_THRESHOLD, METRICS
+from test_lambda1_maximum import exact_lambda1_maximum
 
 TWO_PI = 2 * math.pi
 
@@ -183,8 +185,8 @@ class TestMaximize:
 
     def test_homodyne_small_loss_envelope(self):
         # README's envelope for lambda1 at L = 1e-3: the compass stops 4.6e-6
-        # below the 40-digit maximum 673.7344493 and prints 673.731318983.
-        reference = 673.7344493
+        # below the exact maximum 673.73444928256 and prints 673.731318983.
+        reference = float(exact_lambda1_maximum(1e-3)[0])
         assert reference * (1.0 - 5e-6) <= maximize("lambda1", 1e-3).lambda_max < reference
 
     def test_bit_identical_reruns(self):
@@ -440,6 +442,16 @@ class TestLockstepCurve:
         with pytest.raises(FirstPatch):
             loss_curve(metric, [0.1], grid_seed=2, tol=1e-6)
         assert shapes == [(2, 2), (4, 4, 13, 13)]
+
+    def test_a_seed_past_the_iteration_cap_raises(self, monkeypatch):
+        # From a 20 x 20 grid at tol 1e-6 the lambda1 seeds take at most 190
+        # iterations at L = 0.5 and over 4000 at 0.01.
+        uncapped = loss_curve("lambda1", [0.5], grid_seed=20, tol=1e-6)
+        monkeypatch.setattr(landscape, "MAX_COMPASS_ITERATIONS", 1000)
+        assert loss_curve("lambda1", [0.5], grid_seed=20, tol=1e-6) == uncapped
+        with pytest.raises(ConvergenceError, match=r"^lambda1 search at loss 0\.01 took more "
+                                                   r"than 1000 compass iterations$"):
+            loss_curve("lambda1", [0.5, 0.01], grid_seed=20, tol=1e-6)
 
     def test_pole_on_the_path_still_raises(self, monkeypatch):
         kernel = METRICS["lambda1"]
