@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -173,9 +172,8 @@ def _parse_losses(text: str) -> list[float]:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    angle = math.radians if args.degrees else float
-    params = LoopParameters(phi=angle(args.phi), theta0=angle(args.theta0),
-                            loss=args.loss, alpha_mag=args.alpha)
+    params = LoopParameters(phi=args.phi, theta0=args.theta0, loss=args.loss,
+                            alpha_mag=args.alpha)
     # The MeritReport fields in order; complex coefficients as [re, im].
     payload = {key: [value.real, value.imag] if isinstance(value, complex) else value
                for key, value in dataclasses.asdict(merit_report(params)).items()}
@@ -207,7 +205,7 @@ def sweep_csv(grid: SweepGrid) -> Iterator[str]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = sweep(args.metric, args.loss, args.n, args.n)
+    grid = sweep(args.metric, args.loss, args.n)
     _write_chunks(sweep_csv(grid), args.out)
     return EXIT_OK
 
@@ -282,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recycling-arm power loss fraction in [0, 1]")
     point.add_argument("--alpha", type=float, default=1.0,
                        help="coherent amplitude magnitude (default 1)")
-    point.add_argument("--degrees", action="store_true",
-                       help="interpret all angle flags as degrees")
     point.add_argument("--out", default=None, help="output path (default stdout)")
     point.set_defaults(handler=cmd_point)
 

@@ -81,9 +81,9 @@ class OptimumRecord:
     evaluations: int
 
 
-def block_rows(n_theta0: int) -> int:
-    """Rows per block of both sweep loops, ceil(SWEEP_BLOCK_VALUES / n_theta0)."""
-    return -(-SWEEP_BLOCK_VALUES // max(n_theta0, 1))
+def block_rows(n: int) -> int:
+    """Rows of n values per block of both sweep loops, ceil(SWEEP_BLOCK_VALUES / n)."""
+    return -(-SWEEP_BLOCK_VALUES // max(n, 1))
 
 
 def _check_metric(metric_tag: str) -> None:
@@ -101,28 +101,26 @@ def _check_loss(loss: float, floor: float = 0.0) -> None:
         raise ParameterError(f"loss must lie in {f'[{floor:g}' if floor else '(0'}, 1], got {loss}")
 
 
-def _check_grid(n_phi: int, n_theta0: int) -> None:
-    for n in (n_phi, n_theta0):
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise ParameterError(f"grid size must be an integer, got {n}")
-    if n_phi < 2 or n_theta0 < 2:
+def _check_grid(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ParameterError(f"grid size must be an integer, got {n}")
+    if n < 2:
         raise ParameterError("grid needs at least 2 points per axis")
-    if n_phi * n_theta0 > MAX_GRID_POINTS:
-        raise ParameterError(f"grid of {n_phi}x{n_theta0} exceeds {MAX_GRID_POINTS} points")
+    if n * n > MAX_GRID_POINTS:
+        raise ParameterError(f"grid of {n}x{n} exceeds {MAX_GRID_POINTS} points")
 
 
-def sweep(metric_tag: str, loss: float, n_phi: int, n_theta0: int) -> SweepGrid:
-    """Evaluate a factor on an n_phi x n_theta0 grid over [0, 2*pi)^2."""
+def sweep(metric_tag: str, loss: float, n: int) -> SweepGrid:
+    """Evaluate a factor on an n x n grid over [0, 2*pi)^2."""
     _check_metric(metric_tag)
     _check_loss(loss)
-    _check_grid(n_phi, n_theta0)
-    phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    theta0 = np.linspace(0.0, TWO_PI, n_theta0, endpoint=False)
-    kernel, values = METRICS[metric_tag], np.empty((n_phi, n_theta0))
-    rows = block_rows(n_theta0)
-    for start in range(0, n_phi, rows):
-        values[start:start + rows] = kernel(phi[start:start + rows, None], theta0, loss)
-    return SweepGrid(phi_points=phi, theta0_points=theta0, values=values)
+    _check_grid(n)
+    axis = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    kernel, values = METRICS[metric_tag], np.empty((n, n))
+    rows = block_rows(n)
+    for start in range(0, n, rows):
+        values[start:start + rows] = kernel(axis[start:start + rows, None], axis, loss)
+    return SweepGrid(phi_points=axis, theta0_points=axis, values=values)
 
 
 def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
@@ -136,7 +134,7 @@ def _seeds(metric_tag, loss, grid_seed, count):
 
     Only one grid is alive at a time: it is freed on return.
     """
-    grid = sweep(metric_tag, loss, grid_seed, grid_seed)
+    grid = sweep(metric_tag, loss, grid_seed)
     # Stable row-major order makes equal cells rank lexicographically.  Only
     # the cells at or above the count-th best value need sorting.
     negated = -grid.values.ravel()
@@ -281,7 +279,7 @@ def loss_curve(metric_tag: str, losses, grid_seed: int = 200,
         _check_loss(loss, SEARCH_LOSS_FLOOR)
     if isinstance(tol, bool) or not isinstance(tol, Real) or not 1e-10 <= tol <= 1e-2:
         raise ParameterError(f"tol must lie in [1e-10, 1e-2], got {tol}")
-    _check_grid(grid_seed, grid_seed)
+    _check_grid(grid_seed)
     if not losses:
         return []
     kernel = METRICS[metric_tag]

@@ -181,7 +181,7 @@ def test_criterion_8_landscapes():
         for loss in GRID_LOSSES:
             for metric in ("lambda1", "lambda2", "lambda3"):
                 start = time.perf_counter()
-                grid = sweep(metric, loss, 200, 200)
+                grid = sweep(metric, loss, 200)
                 assert time.perf_counter() - start < 5.0
                 if metric == "lambda3":
                     assert grid.values.min() >= 1.0 - 1e-12

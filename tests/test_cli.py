@@ -50,6 +50,18 @@ def per_cell_sweep_csv(grid):
     return "\n".join(lines) + "\n"
 
 
+def corner_grid(metric, loss, n_phi, n_theta0):
+    """The first n_phi x n_theta0 cells of a square `sweep`, as a `SweepGrid`.
+
+    `sweep` builds square grids only; `sweep_csv` takes any, and a
+    non-square one shows whether it walks rows by phi and columns by theta0.
+    """
+    grid = sweep(metric, loss, max(n_phi, n_theta0))
+    return SweepGrid(phi_points=grid.phi_points[:n_phi],
+                     theta0_points=grid.theta0_points[:n_theta0],
+                     values=grid.values[:n_phi, :n_theta0])
+
+
 class TestPoint:
     def test_reference_optimum(self, capsys):
         code, out, _ = run_cli(capsys, "point", "--phi", "2.5702", "--theta0", "0.3524",
@@ -79,13 +91,18 @@ class TestPoint:
         reason = json.loads(err)
         assert reason["error"] == "ResonantPoleError"
 
-    def test_degrees_flag(self, capsys):
-        _, radians_out, _ = run_cli(capsys, "point", "--phi", str(math.pi / 2),
-                                    "--theta0", "0", "--loss", "0.3")
-        _, degrees_out, _ = run_cli(capsys, "point", "--phi", "90", "--theta0", "0",
-                                    "--loss", "0.3", "--degrees")
-        assert json.loads(degrees_out)["lambda1"] == pytest.approx(
-            json.loads(radians_out)["lambda1"], rel=1e-12)
+    def test_degrees_flag_is_gone(self, capsys, monkeypatch):
+        # Angles are radians only: the flag is a usage error before any work.
+        monkeypatch.setattr(cli, "merit_report", lambda *_: pytest.fail("point evaluated"))
+        code, out, err = run_cli(capsys, "point", "--phi", "90", "--theta0", "0",
+                                 "--loss", "0.3", "--degrees")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: recycled-mzi")
+        assert "unrecognized arguments: --degrees\n" in err
+        code, out, _ = run_cli(capsys, "point", "--help")
+        assert code == 0
+        assert "--phi PHI" in out
+        assert "--degrees" not in out
 
     def test_domain_error_before_output(self, capsys):
         code, out, err = run_cli(capsys, "point", "--phi", "1", "--theta0", "0",
@@ -138,7 +155,7 @@ class TestSweep:
         assert max(float(row[2]) for row in rows) > 1.0
 
     def test_axis_size_options_are_gone(self, capsys, monkeypatch):
-        # One size per axis is `--n` alone; the library's `sweep` keeps two.
+        # `--n` alone sizes both axes, as the library's `sweep` takes one size.
         monkeypatch.setattr(cli, "sweep", lambda *_: pytest.fail("sweep started"))
         for flag in (("--n-phi", "7"), ("--n-theta0", "5")):
             code, out, err = run_cli(capsys, "sweep", "--metric", "lambda1", "--loss", "0.1",
@@ -194,7 +211,7 @@ class TestStreamedSweep:
     @pytest.mark.parametrize("loss", [1e-4, 0.1, 1.0])
     @pytest.mark.parametrize("n_phi,n_theta0", [(2, 2), (3, 7), (7, 3), (50, 50)])
     def test_chunks_join_to_per_cell_text(self, metric, loss, n_phi, n_theta0):
-        grid = sweep(metric, loss, n_phi, n_theta0)
+        grid = corner_grid(metric, loss, n_phi, n_theta0)
         chunks = list(cli.sweep_csv(grid))
         assert len(chunks) == 1 + n_phi
         assert "".join(chunks) == per_cell_sweep_csv(grid)
@@ -302,15 +319,15 @@ class TestFormatValues:
                 return str.__mod__(self, value)
 
         monkeypatch.setattr(cli, "NUMBER_FORMAT", CountingFormat(cli.NUMBER_FORMAT))
-        grid = sweep("lambda1", 0.2, 400, 400)
+        grid = sweep("lambda1", 0.2, 400)
         cli.format_values(grid.values.ravel())
         assert 0 < CountingFormat.calls <= 0.01 * grid.values.size
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("loss", [1e-4, 1e-3, 0.05, 0.5, 1.0])
     def test_landscapes_match_per_cell_text(self, metric, loss):
-        # 257 values a row: 32 rows a block, so five blocks, the last of 2 rows.
-        grid = sweep(metric, loss, 130, 257)
+        # 130 values a row: 64 rows a block, so three blocks, the last of 2 rows.
+        grid = sweep(metric, loss, 130)
         chunks = list(cli.sweep_csv(grid))
         assert len(chunks) == 1 + 130
         assert "".join(chunks) == per_cell_sweep_csv(grid)
@@ -331,11 +348,11 @@ class TestFormatValues:
         monkeypatch.setitem(landscape.METRICS, "lambda2",
                             counted("kernel", landscape.METRICS["lambda2"]))
         monkeypatch.setattr(cli, "format_values", counted("format", cli.format_values))
-        grid = sweep("lambda2", 0.3, 9, 7)
+        grid = sweep("lambda2", 0.3, 7)
         chunks = list(cli.sweep_csv(grid))
-        blocks = -(-9 // -(-block // 7))
+        blocks = -(-7 // -(-block // 7))
         assert calls == {"kernel": blocks, "format": blocks}
-        assert len(chunks) == 1 + 9
+        assert len(chunks) == 1 + 7
         assert "".join(chunks) == per_cell_sweep_csv(grid)
 
 
@@ -375,6 +392,13 @@ point_floats = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "1e3
        alpha=st.none() | point_floats, degrees=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_point_argv_contract(phi, theta0, loss, alpha, degrees):
+    """The exit contract of `point` for generated argv.
+
+    Angles are radians only: the deleted `--degrees` is a usage error
+    whatever the numbers.  Any other refusal is a domain error with one
+    JSON line.  A refusal's traced peak stays below 2**20 bytes, as
+    `optimize`'s and `verify`'s do.
+    """
     argv = ["point", f"--phi={phi}", f"--theta0={theta0}", f"--loss={loss}"]
     if alpha is not None:
         argv.append(f"--alpha={alpha}")
@@ -382,17 +406,30 @@ def test_point_argv_contract(phi, theta0, loss, alpha, degrees):
         argv.append("--degrees")
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    out, err = stdout.getvalue(), stderr.getvalue()
 
     assert code in (0, 2)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in err
+    if degrees:
+        assert code == 2
+        assert err.startswith("usage: recycled-mzi")
+        assert "unrecognized arguments: --degrees\n" in err
     if code == 2:
-        assert stdout.getvalue() == ""
-        assert json.loads(stderr.getvalue())["error"] in ("ParameterError", "ResonantPoleError")
+        assert out == ""
+        assert peak < 2**20
+        if not degrees:
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] in ("ParameterError", "ResonantPoleError")
     else:
         assert 0.0 <= float(loss) <= 1.0
-        assert len(json.loads(stdout.getvalue())) == 10
+        assert len(json.loads(out)) == 10
 
 
 # Loss lists for `verify`: edge floats, empty and malformed items, accepted

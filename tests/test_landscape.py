@@ -33,7 +33,7 @@ def scalar_compass_maximize(metric_tag, loss, grid_seed=200, tol=1e-8):
     The reference for the lockstep search: the same seeding, probes, moves,
     step halving, tie window and wrapping, evaluated point by point.
     """
-    grid = sweep(metric_tag, loss, grid_seed, grid_seed)
+    grid = sweep(metric_tag, loss, grid_seed)
     kernel = METRICS[metric_tag]
     axis = grid.phi_points
     evaluations = grid.values.size
@@ -88,37 +88,50 @@ def max_bound_factor(loss):
 
 class TestSweep:
     def test_grid_shapes_and_determinism(self):
-        grid = sweep("lambda1", 0.10, 40, 30)
-        assert grid.values.shape == (40, 30)
+        grid = sweep("lambda1", 0.10, 40)
+        assert grid.values.shape == (40, 40)
         assert grid.phi_points.shape == (40,)
-        assert grid.theta0_points.shape == (30,)
-        again = sweep("lambda1", 0.10, 40, 30)
+        np.testing.assert_array_equal(grid.theta0_points, grid.phi_points)
+        again = sweep("lambda1", 0.10, 40)
         np.testing.assert_array_equal(grid.values, again.values)
 
+    def test_one_size_for_both_axes(self):
+        with pytest.raises(TypeError):
+            sweep("lambda1", 0.1, 9, 7)
+        with pytest.raises(TypeError):
+            sweep(metric_tag="lambda1", loss=0.1, n_phi=9, n_theta0=7)
+
     def test_photon_factor_never_below_unity(self):
-        grid = sweep("lambda3", 0.05, 200, 200)
+        grid = sweep("lambda3", 0.05, 200)
         assert grid.values.min() >= 1.0 - 1e-12
 
     def test_blocked_loop_rows_are_sine(self):
-        grid = sweep("lambda1", 1.0, 100, 100)
+        grid = sweep("lambda1", 1.0, 100)
         expected = np.abs(np.sin(grid.phi_points))
         for j in range(100):
             np.testing.assert_allclose(grid.values[:, j], expected, atol=1e-12)
 
     def test_dense_grid_reaches_reference_maximum(self):
-        grid = sweep("lambda1", 0.10, 400, 400)
+        grid = sweep("lambda1", 0.10, 400)
         assert grid.values.max() == pytest.approx(9.32, rel=0.02)
 
     def test_values_match_pointwise_evaluation(self):
-        grid = sweep("lambda1", 0.15, 11, 13)
+        # Rows are phi and columns theta0.  A square grid shows no
+        # transposition in its shape, so check corner and interior cells, and
+        # that the landscape is not symmetric under transposition.
+        grid = sweep("lambda1", 0.15, 13)
+        for i, j in [(0, 0), (0, 12), (12, 0), (12, 12), (4, 9), (9, 4)]:
+            assert grid.values[i, j] == lambda1_values(grid.phi_points[i],
+                                                       grid.theta0_points[j], 0.15)
+        assert not np.allclose(grid.values, grid.values.T)
         params = LoopParameters(phi=float(grid.phi_points[4]),
                                 theta0=float(grid.theta0_points[9]), loss=0.15)
         assert grid.values[4, 9] == merit_report(params).lambda1
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_row_blocks_equal_one_kernel_call(self, metric):
-        # 300 columns: blocks of 28 rows, the last one short.
-        grid = sweep(metric, 0.15, 500, 300)
+        # 300 columns: blocks of 28 rows, the last one of 20.
+        grid = sweep(metric, 0.15, 300)
         whole = METRICS[metric](grid.phi_points[:, None], grid.theta0_points[None, :], 0.15)
         np.testing.assert_array_equal(grid.values, whole)
 
@@ -127,22 +140,22 @@ class TestSweep:
         # beside the grid it fills.
         tracemalloc.start()
         try:
-            grid = sweep("lambda1", 0.1, 2000, 2000)
+            grid = sweep("lambda1", 0.1, 2000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * grid.values.nbytes
 
     @pytest.mark.parametrize("kwargs", [
-        {"metric_tag": "lambda9", "loss": 0.1, "n_phi": 10, "n_theta0": 10},
-        {"metric_tag": "lambda1", "loss": 0.0, "n_phi": 10, "n_theta0": 10},
-        {"metric_tag": "lambda1", "loss": 1.5, "n_phi": 10, "n_theta0": 10},
-        {"metric_tag": "lambda1", "loss": 0.1, "n_phi": 1, "n_theta0": 10},
-        {"metric_tag": "lambda1", "loss": 0.1, "n_phi": 20000, "n_theta0": 20000},
-        {"metric_tag": "lambda1", "loss": np.array([0.1, 0.2]), "n_phi": 10, "n_theta0": 10},
-        {"metric_tag": "lambda1", "loss": 0.5, "n_phi": 2.5, "n_theta0": 2},
-        {"metric_tag": "lambda1", "loss": 0.5, "n_phi": 10, "n_theta0": 10.0},
-        {"metric_tag": "lambda1", "loss": 0.5, "n_phi": True, "n_theta0": 10},
+        {"metric_tag": "lambda9", "loss": 0.1, "n": 10},
+        {"metric_tag": "lambda1", "loss": 0.0, "n": 10},
+        {"metric_tag": "lambda1", "loss": 1.5, "n": 10},
+        {"metric_tag": "lambda1", "loss": 0.1, "n": 1},
+        {"metric_tag": "lambda1", "loss": 0.1, "n": 2001},
+        {"metric_tag": "lambda1", "loss": np.array([0.1, 0.2]), "n": 10},
+        {"metric_tag": "lambda1", "loss": 0.5, "n": 2.5},
+        {"metric_tag": "lambda1", "loss": 0.5, "n": 10.0},
+        {"metric_tag": "lambda1", "loss": 0.5, "n": True},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
@@ -211,12 +224,12 @@ class TestMaximize:
     def test_beats_dense_grid(self):
         for loss in (0.05, 0.10):
             record = maximize("lambda1", loss, grid_seed=200, tol=1e-8)
-            dense = sweep("lambda1", loss, 400, 400).values.max()
+            dense = sweep("lambda1", loss, 400).values.max()
             assert record.lambda_max >= dense - 1e-9
 
     def test_dominates_seeding_grid(self):
         record = maximize("lambda2", 0.15, grid_seed=50)
-        assert record.lambda_max >= sweep("lambda2", 0.15, 50, 50).values.max()
+        assert record.lambda_max >= sweep("lambda2", 0.15, 50).values.max()
 
     @pytest.mark.parametrize("kwargs", [
         {"metric_tag": "lambda1", "loss": 0.0},
@@ -342,7 +355,7 @@ class TestSeeds:
         ("lambda1", 0.1, 60), ("lambda3", 0.05, 200), ("lambda2", 1.0, 200),
         ("lambda2", 1.0, 2), ("lambda1", 1.0, 100)])
     def test_match_full_stable_argsort(self, metric, loss, grid_seed):
-        grid = sweep(metric, loss, grid_seed, grid_seed)
+        grid = sweep(metric, loss, grid_seed)
         count = min(landscape.REFINE_SEEDS, grid_seed * grid_seed)
         order = np.argsort(-grid.values.ravel(), kind="stable")[:count]
         i, j = np.divmod(order, grid_seed)

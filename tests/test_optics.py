@@ -152,7 +152,7 @@ LOSS_ROUTES = {
     "cascade": (lambda loss: cascade(1.0, 0.5, loss, 3), True),
     "loop_ratio": (lambda loss: loop_ratio(1.0, 0.5, loss), True),
     "LoopParameters": (lambda loss: LoopParameters(phi=1.0, theta0=0.5, loss=loss), False),
-    "sweep": (lambda loss: sweep("lambda1", loss, 2, 2), False),
+    "sweep": (lambda loss: sweep("lambda1", loss, 2), False),
     "maximize": (lambda loss: maximize("lambda1", loss, grid_seed=2), False),
     "loss_curve": (lambda loss: loss_curve("lambda1", _listed(loss), grid_seed=2), True),
     "run_all": (lambda loss: verification.run_all(points=1, losses=_listed(loss), grid_n=2), True),
