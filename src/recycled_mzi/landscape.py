@@ -106,7 +106,8 @@ def _check_grid(n: int) -> None:
         raise ParameterError(f"grid size must be an integer, got {n}")
     if n < 2:
         raise ParameterError("grid needs at least 2 points per axis")
-    if n * n > MAX_GRID_POINTS:
+    # Compared before squaring: a numpy integer's square can wrap.
+    if n > math.isqrt(MAX_GRID_POINTS):
         raise ParameterError(f"grid of {n}x{n} exceeds {MAX_GRID_POINTS} points")
 
 

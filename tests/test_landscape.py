@@ -156,6 +156,8 @@ class TestSweep:
         {"metric_tag": "lambda1", "loss": 0.5, "n": 2.5},
         {"metric_tag": "lambda1", "loss": 0.5, "n": 10.0},
         {"metric_tag": "lambda1", "loss": 0.5, "n": True},
+        # Its square wraps to 0 in int64.
+        {"metric_tag": "lambda1", "loss": 0.1, "n": np.int64(2**32)},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
