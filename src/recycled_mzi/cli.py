@@ -185,23 +185,20 @@ def sweep_csv(grid: SweepGrid) -> Iterator[str]:
     """CSV text `phi,theta0,value` of a sweep, row-major in phi then theta0.
 
     Yields the header line, then one chunk of lines per phi row, so the text
-    of the whole grid is never held at once.  The values are formatted by
-    `format_values` over the row blocks `landscape.sweep` evaluates, and
+    of the whole grid is never held at once.  `format_values` formats the
+    axis once, and the values over the row blocks `landscape.sweep` evaluates;
     each row is one `%` operation on a per-grid bytes template.  The NUL
     that marks the phi field never occurs in a formatted number.
     """
     yield "phi,theta0,value\n"
-    theta0_points = grid.theta0_points.tolist()
-    template = "".join([f"\0,{NUMBER_FORMAT % theta0},%s\n"
-                        for theta0 in theta0_points]).encode("ascii")
-    width, rows = len(theta0_points), block_rows(len(theta0_points))
-    phi_points = grid.phi_points.tolist()
-    for start in range(0, len(phi_points), rows):
+    axis = format_values(grid.axis)
+    template = b"".join([b"\0," + theta0 + b",%s\n" for theta0 in axis])
+    width, rows = len(axis), block_rows(len(axis))
+    for start in range(0, width, rows):
         texts = format_values(np.ravel(grid.values[start:start + rows]))
-        for offset, phi in enumerate(phi_points[start:start + rows]):
+        for offset, phi in enumerate(axis[start:start + rows]):
             row = tuple(texts[offset * width:(offset + 1) * width])
-            yield (template.replace(b"\0", (NUMBER_FORMAT % phi).encode("ascii")) % row
-                   ).decode("ascii")
+            yield (template.replace(b"\0", phi) % row).decode("ascii")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -62,10 +62,9 @@ MAX_COMPASS_ITERATIONS = 2**20
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Raster of one enhancement factor over the (phi, theta0) torus."""
+    """Raster of one factor over the (phi, theta0) torus: values[i, j] at (axis[i], axis[j])."""
 
-    phi_points: np.ndarray
-    theta0_points: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
 
 
@@ -121,7 +120,7 @@ def sweep(metric_tag: str, loss: float, n: int) -> SweepGrid:
     rows = block_rows(n)
     for start in range(0, n, rows):
         values[start:start + rows] = kernel(axis[start:start + rows, None], axis, loss)
-    return SweepGrid(phi_points=axis, theta0_points=axis, values=values)
+    return SweepGrid(axis=axis, values=values)
 
 
 def maximize(metric_tag: str, loss: float, grid_seed: int = 200,
@@ -143,7 +142,7 @@ def _seeds(metric_tag, loss, grid_seed, count):
     candidates = np.flatnonzero(negated <= kth)
     seeds = candidates[np.argsort(negated[candidates], kind="stable")[:count]]
     i, j = np.divmod(seeds, grid_seed)
-    return np.array([grid.phi_points[i], grid.theta0_points[j]]), grid.values[i, j]
+    return np.array([grid.axis[i], grid.axis[j]]), grid.values[i, j]
 
 
 def _walk(kernel, pos, best, step, sign, loss, side):

@@ -73,6 +73,9 @@ class LoopParameters:
     alpha_mag: float = 1.0
 
     def __post_init__(self) -> None:
+        # A flag is not a phase or an amplitude, though True == 1.
+        if any(isinstance(x, bool) for x in (self.phi, self.theta0, self.alpha_mag)):
+            raise ParameterError("phi, theta0 and alpha_mag must be numbers, not bools")
         # The kernels take the cosine of theta0 + phi, so the sum must be
         # finite too.
         if not (isinstance(self.phi, Real) and isinstance(self.theta0, Real)

@@ -38,28 +38,16 @@ def read_csv(text):
 def per_cell_sweep_csv(grid):
     """CSV text of a sweep, one f-string `.12g` field per value of each cell.
 
-    The reference for the streamed `cli.sweep_csv`: it formats both axes
+    The reference for the streamed `cli.sweep_csv`: it formats the axis
     again for every cell and joins the whole text at once.  It spells the
     number format on its own, so it pins the bytes whatever the CLI uses.
     """
     lines = ["phi,theta0,value"]
-    for i, phi in enumerate(grid.phi_points):
+    for i, phi in enumerate(grid.axis):
         row = grid.values[i]
-        for j, theta0 in enumerate(grid.theta0_points):
+        for j, theta0 in enumerate(grid.axis):
             lines.append(f"{phi:.12g},{theta0:.12g},{row[j]:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def corner_grid(metric, loss, n_phi, n_theta0):
-    """The first n_phi x n_theta0 cells of a square `sweep`, as a `SweepGrid`.
-
-    `sweep` builds square grids only; `sweep_csv` takes any, and a
-    non-square one shows whether it walks rows by phi and columns by theta0.
-    """
-    grid = sweep(metric, loss, max(n_phi, n_theta0))
-    return SweepGrid(phi_points=grid.phi_points[:n_phi],
-                     theta0_points=grid.theta0_points[:n_theta0],
-                     values=grid.values[:n_phi, :n_theta0])
 
 
 class TestPoint:
@@ -209,11 +197,14 @@ class TestSweep:
 class TestStreamedSweep:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("loss", [1e-4, 0.1, 1.0])
-    @pytest.mark.parametrize("n_phi,n_theta0", [(2, 2), (3, 7), (7, 3), (50, 50)])
-    def test_chunks_join_to_per_cell_text(self, metric, loss, n_phi, n_theta0):
-        grid = corner_grid(metric, loss, n_phi, n_theta0)
+    @pytest.mark.parametrize("n,block", [(2, 2), (3, 7), (7, 3), (50, 50)])
+    def test_chunks_join_to_per_cell_text(self, monkeypatch, metric, loss, n, block):
+        # Row blocks of `block` values, ceil(block / n) rows each: all 3 rows
+        # in one block at (3, 7), one row a block in the other cases.
+        monkeypatch.setattr(landscape, "SWEEP_BLOCK_VALUES", block)
+        grid = sweep(metric, loss, n)
         chunks = list(cli.sweep_csv(grid))
-        assert len(chunks) == 1 + n_phi
+        assert len(chunks) == 1 + n
         assert "".join(chunks) == per_cell_sweep_csv(grid)
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
@@ -250,13 +241,13 @@ edge_floats = (st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -3.0, 1e15, 1
                | st.floats(allow_nan=True, allow_infinity=True))
 
 
-@given(data=st.data(), n_phi=st.integers(1, 6), n_theta0=st.integers(1, 6))
+@given(data=st.data(), n=st.integers(1, 6))
 @settings(max_examples=300, deadline=None)
-def test_sweep_csv_formats_any_grid_like_per_cell(data, n_phi, n_theta0):
+def test_sweep_csv_formats_any_grid_like_per_cell(data, n):
+    # Arbitrary values, so a row or column out of order shows.
     grid = SweepGrid(
-        phi_points=data.draw(arrays(np.float64, n_phi, elements=edge_floats)),
-        theta0_points=data.draw(arrays(np.float64, n_theta0, elements=edge_floats)),
-        values=data.draw(arrays(np.float64, (n_phi, n_theta0), elements=edge_floats)),
+        axis=data.draw(arrays(np.float64, n, elements=edge_floats)),
+        values=data.draw(arrays(np.float64, (n, n), elements=edge_floats)),
     )
     assert "".join(cli.sweep_csv(grid)) == per_cell_sweep_csv(grid)
 
@@ -301,6 +292,13 @@ class TestFormatValues:
         values = np.concatenate([layouts, np.nextafter(layouts, 0.0),
                                  np.nextafter(layouts, np.inf)])
         assert cli.format_values(values) == percent_texts(values)
+
+    def test_every_axis_the_cli_accepts(self):
+        # `sweep --n` takes 2 to 2000 points per axis, each axis as `sweep`
+        # builds it.  Its 0.0 takes the per-value route.
+        for n in range(2, math.isqrt(MAX_GRID_POINTS) + 1):
+            axis = np.linspace(0.0, landscape.TWO_PI, n, endpoint=False)
+            assert cli.format_values(axis) == percent_texts(axis), n
 
     def test_values_off_the_fast_path(self):
         values = np.array([0.0, -0.0, 5e-324, -2.5e-310, -3.0, 1e12, 999999999999.5,
@@ -351,7 +349,8 @@ class TestFormatValues:
         grid = sweep("lambda2", 0.3, 7)
         chunks = list(cli.sweep_csv(grid))
         blocks = -(-7 // -(-block // 7))
-        assert calls == {"kernel": blocks, "format": blocks}
+        # One more format call: the axis.
+        assert calls == {"kernel": blocks, "format": blocks + 1}
         assert len(chunks) == 1 + 7
         assert "".join(chunks) == per_cell_sweep_csv(grid)
 

@@ -35,7 +35,7 @@ def scalar_compass_maximize(metric_tag, loss, grid_seed=200, tol=1e-8):
     """
     grid = sweep(metric_tag, loss, grid_seed)
     kernel = METRICS[metric_tag]
-    axis = grid.phi_points
+    axis = grid.axis
     evaluations = grid.values.size
     coarse = np.where(np.isfinite(grid.values), grid.values, -np.inf)
     seeds = np.argsort(-coarse.ravel(), kind="stable")[:landscape.REFINE_SEEDS]
@@ -90,8 +90,9 @@ class TestSweep:
     def test_grid_shapes_and_determinism(self):
         grid = sweep("lambda1", 0.10, 40)
         assert grid.values.shape == (40, 40)
-        assert grid.phi_points.shape == (40,)
-        np.testing.assert_array_equal(grid.theta0_points, grid.phi_points)
+        # One axis for both phi and theta0.
+        assert [field.name for field in dataclasses.fields(grid)] == ["axis", "values"]
+        np.testing.assert_array_equal(grid.axis, np.linspace(0.0, TWO_PI, 40, endpoint=False))
         again = sweep("lambda1", 0.10, 40)
         np.testing.assert_array_equal(grid.values, again.values)
 
@@ -107,7 +108,7 @@ class TestSweep:
 
     def test_blocked_loop_rows_are_sine(self):
         grid = sweep("lambda1", 1.0, 100)
-        expected = np.abs(np.sin(grid.phi_points))
+        expected = np.abs(np.sin(grid.axis))
         for j in range(100):
             np.testing.assert_allclose(grid.values[:, j], expected, atol=1e-12)
 
@@ -121,18 +122,17 @@ class TestSweep:
         # that the landscape is not symmetric under transposition.
         grid = sweep("lambda1", 0.15, 13)
         for i, j in [(0, 0), (0, 12), (12, 0), (12, 12), (4, 9), (9, 4)]:
-            assert grid.values[i, j] == lambda1_values(grid.phi_points[i],
-                                                       grid.theta0_points[j], 0.15)
+            assert grid.values[i, j] == lambda1_values(grid.axis[i], grid.axis[j], 0.15)
         assert not np.allclose(grid.values, grid.values.T)
-        params = LoopParameters(phi=float(grid.phi_points[4]),
-                                theta0=float(grid.theta0_points[9]), loss=0.15)
+        params = LoopParameters(phi=float(grid.axis[4]), theta0=float(grid.axis[9]),
+                                loss=0.15)
         assert grid.values[4, 9] == merit_report(params).lambda1
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_row_blocks_equal_one_kernel_call(self, metric):
         # 300 columns: blocks of 28 rows, the last one of 20.
         grid = sweep(metric, 0.15, 300)
-        whole = METRICS[metric](grid.phi_points[:, None], grid.theta0_points[None, :], 0.15)
+        whole = METRICS[metric](grid.axis[:, None], grid.axis, 0.15)
         np.testing.assert_array_equal(grid.values, whole)
 
     def test_peak_memory_near_the_grid(self):
@@ -362,7 +362,7 @@ class TestSeeds:
         order = np.argsort(-grid.values.ravel(), kind="stable")[:count]
         i, j = np.divmod(order, grid_seed)
         pos, best = landscape._seeds(metric, loss, grid_seed, count)
-        np.testing.assert_array_equal(pos, [grid.phi_points[i], grid.theta0_points[j]])
+        np.testing.assert_array_equal(pos, [grid.axis[i], grid.axis[j]])
         np.testing.assert_array_equal(best, grid.values[i, j])
 
 

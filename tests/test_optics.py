@@ -254,6 +254,10 @@ class TestLoopParameters:
         {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": "1"},
         {"phi": "1", "theta0": 0.0, "loss": 0.5},
         {"phi": 0.0, "theta0": np.array([0.1, 0.2]), "loss": 0.5},
+        # Nor is a flag a phase or an amplitude.
+        {"phi": True, "theta0": 0.0, "loss": 0.5},
+        {"phi": 0.0, "theta0": False, "loss": 0.5},
+        {"phi": 0.0, "theta0": 0.0, "loss": 0.5, "alpha_mag": True},
     ])
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
