@@ -10,8 +10,9 @@ both broadcasting over (phi, theta0, loss): `closed_form` evaluates the
 summed series directly; `cascade` composes m recycling passes of the
 equivalent cascade of single interferometers (one pass per stage), the same
 m at every point, into gamma**m and the partial sum 1 + gamma + ... +
-gamma**(m-1) by repeated squaring, and serves as an independent numerical
-oracle.
+gamma**(m-1) by repeated squaring, carrying their phase derivatives along,
+and serves as the independent numerical oracle for the coefficients and for
+the phase slope of upsilon that the sensitivity factors measure.
 
 Vacuum bookkeeping: the cascade feeds vacuum into the first stage's unused
 port and through every loss splitter.  Vacuum modes are phase-insensitive
@@ -72,27 +73,17 @@ def loop_ratio(phi, theta0, loss):
     return _feedback(theta0, loss) * mzi_entries(phi)[3]
 
 
-def _denominator(phi, theta0, loss):
-    """`mzi_entries(phi)`, the feedback f and 1 - f*s22 = 1 - gamma (broadcasts).
-
-    Every route that divides by 1 - gamma takes it from here, so each raises
-    ResonantPoleError at the same points: within POLE_THRESHOLD of the pole.
-    """
-    entries = mzi_entries(phi)
-    feedback = _feedback(theta0, loss)
-    denom = 1.0 - feedback * entries[3]
-    _raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
-                 "lossless loop resonance: no steady state", phi, theta0, loss)
-    return entries, feedback, denom
-
-
 def closed_form(phi, theta0, loss) -> RecycledCoefficients:
     """Steady-state coefficients from the summed geometric series (broadcasts).
 
     Raises ResonantPoleError if any point lies within POLE_THRESHOLD of the
-    lossless pole.
+    lossless pole, where |1 - gamma| < POLE_THRESHOLD.
     """
-    (s11, s12, s21, s22), feedback, denom = _denominator(phi, theta0, loss)
+    s11, s12, s21, s22 = mzi_entries(phi)
+    feedback = _feedback(theta0, loss)
+    denom = 1.0 - feedback * s22
+    _raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
+                 "lossless loop resonance: no steady state", phi, theta0, loss)
     sqrt_loss = np.sqrt(loss)
     return RecycledCoefficients(
         upsilon=s11 + s12 * s21 * (feedback / denom),
@@ -102,9 +93,10 @@ def closed_form(phi, theta0, loss) -> RecycledCoefficients:
     )
 
 
-def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
-    """Coefficients after `passes` recycling passes (broadcasts over the
-    phases and the loss; every point makes the same integer count of passes).
+def cascade(phi, theta0, loss, passes) -> tuple[RecycledCoefficients, np.ndarray]:
+    """Coefficients after `passes` recycling passes, and their phase slope
+    sigma = 2 d(upsilon)/d(phi) (broadcasts over the phases and the loss;
+    every point makes the same integer count of passes).
 
     A pass feeds the second output of one stage, attenuated by sqrt(1-L)
     and rotated by exp(-i*theta0), plus sqrt(L) of fresh vacuum, into the
@@ -119,29 +111,50 @@ def cascade(phi, theta0, loss, passes) -> RecycledCoefficients:
     passes map seed -> power*seed and total -> power*total + block, and
     squaring maps (power, block) -> (power**2, block*(1 + power)).  The
     cascade takes that step for each set bit j of m, so it costs one array
-    step per bit of m.  No step divides by 1 - gamma, which keeps the route
-    independent of `closed_form`.
+    step per bit of m.  The same steps carry each array's derivative in phi
+    by the product rule, starting from d(gamma) = feedback*d(s22); as
+    upsilon = s11 + feedback*s12**2*total, the slope is
+    sigma = 2*(d(s11) + feedback*(2*s12*d(s12)*total + s12**2*d(total))).
+    No step divides by 1 - gamma, which keeps the route independent of
+    `closed_form`.
     """
     if isinstance(passes, bool) or not isinstance(passes, Integral) or passes < 0:
         raise ParameterError(f"recycling passes must be an integer >= 0, got {passes!r}")
     passes = int(passes)
     s11, s12, s21, s22 = mzi_entries(phi)
+    # d(exp(-i*phi))/d(phi) = -i*exp(-i*phi), so d(s11) = -i*(s11 + 1/2),
+    # d(s12) = d(s21) = -i*(s12 - i/2) and d(s22) = -d(s11).
+    ds11, ds12 = -1j * (s11 + 0.5), -1j * s12 - 0.5
     feedback = _feedback(theta0, loss)
     shape = np.broadcast_shapes(np.shape(phi), np.shape(theta0), np.shape(loss))
 
     seed, total = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    dtotal = np.zeros(shape, dtype=complex)
     power, block = feedback * s22, 1.0
+    dpower, dblock = -feedback * ds11, 0.0
+    # numpy takes `x * temporary` in place as `temporary * x`, but only
+    # for arrays past 256 KiB, and fused multiply-adds round the two orders
+    # of a complex product apart.  No product here has a temporary second
+    # operand (hence `grow`), so no digit depends on the array size.
     for bit in range(passes.bit_length()):
         if bit:
-            power, block = power * power, block * (1.0 + power)
+            grow = 1.0 + power
+            power, dpower, block, dblock = (power * power, 2.0 * power * dpower, block * grow,
+                                            dblock * grow + block * dpower)
         if passes >> bit & 1:
-            seed, total = power * seed, power * total + block
-    coef_in, coef_vac = feedback * s21 * total, np.sqrt(loss) * total
+            seed, total, dtotal = (power * seed, power * total + block,
+                                   dpower * total + power * dtotal + dblock)
+    coef_in = feedback * s21 * total
+    # The first stage's vacuum and the loss vacuum are independent modes, so
+    # each output takes them in quadrature: |seed|**2 + L*|total|**2.
+    vacuum = np.sqrt(np.abs(seed) ** 2 + loss * np.abs(total) ** 2)
+    slope = 2.0 * (ds11 + (2.0 * s12 * ds12 * total + s12 * s12 * dtotal) * feedback)
 
-    return RecycledCoefficients(
+    coefficients = RecycledCoefficients(
         upsilon=s11 + s12 * coef_in,
-        vac_a=np.hypot(np.abs(s12 * seed), np.abs(s12 * coef_vac)) + 0j,
+        vac_a=np.abs(s12) * vacuum + 0j,
         xi=s21 + s22 * coef_in,
-        vac_b=np.hypot(np.abs(s22 * seed), np.abs(s22 * coef_vac)) + 0j,
+        vac_b=np.abs(s22) * vacuum + 0j,
     )
+    return coefficients, slope
 

@@ -14,8 +14,9 @@ conventional interferometer fed by the same coherent state:
 Each factor has two implementations: a closed trigonometric form (the
 `*_values` kernels, broadcasting over (phi, theta0, loss); `merit_report`
 evaluates all three at one operating point) and an independent route through
-the loop coefficients or their exact phase derivative, which lives in the
-verification suites.
+`loop.cascade`, which the verification suites compare with them: its phase
+slope sigma for lambda1 = |Re sigma| and lambda2 = |sigma|, its coefficients
+for lambda3 = |upsilon|**2 + |xi|**2.
 
 The local oscillator of the homodyne detector is referenced to the input
 carrier, so the input carrier phase drops out of every factor.

@@ -1,18 +1,23 @@
 """Cross-route verification suites.
 
-Every quantity in this package has two independent computation routes:
-summed closed forms versus the iterated recycling cascade for the loop
-coefficients, and closed trigonometric forms versus the exact phase
-derivative of the closed-form coefficient for the enhancement factors.
-The checks here drive both routes over seeded pseudo-random points and
-regular grids and report the worst deviation of each pair, together with
-the tolerance it must stay under.  The command line `verify` subcommand
-prints these results and gates its exit code on them.
+Every quantity in this package has two independent computation routes: a
+closed form and the iterated recycling cascade, which never divides by the
+loop denominator 1 - gamma.  The cascade's coefficients check the closed
+form's upsilon and xi, its phase slope sigma = 2 d(upsilon)/d(phi) checks the
+homodyne and bound factors (lambda1 = |Re sigma|, lambda2 = |sigma|), and its
+|upsilon|**2 + |xi|**2 checks the photon factor lambda3.  Output
+normalization and energy balance are sum rules of the closed form.  The
+checks run over seeded pseudo-random points and a regular derivative grid
+and report the worst deviation of each, together with the tolerance it must
+stay under.  The command line `verify` subcommand prints these results and
+gates its exit code on them.
 
-`run_all` evaluates each route once, in one broadcast call over all its
-points and losses, with the losses along the first axis.  The oracle suite
-evaluates its own two routes; the other suites only compare arrays that
-`run_all` evaluated for all of them.
+`run_all` takes each point set, the derivative grid and then the sample, in
+chunks of about CHUNK_POINT_LOSSES (point, loss) pairs, one cascade per
+chunk serving every line that reads it, and keeps each line's worst over the
+chunks.  Each set's one pass count is fixed from the whole set before its
+first chunk, so no printed byte depends on the chunk size, and peak memory
+does not grow with the set.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .loop import RecycledCoefficients, _denominator, cascade, closed_form, loop_ratio
+from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio
 from .metrology import lambda1_values, lambda2_values, lambda3_values
 from .optics import LoopParameters, _raise_where, check_loss
 
@@ -42,13 +47,18 @@ PHOTON_SUM_RTOL = 1e-12
 SMALL_VALUE_FLOOR = 1e-3
 
 # Most (point, loss) pairs one suite of `run_all` may evaluate: exactly a
-# 1000x1000 derivative grid at the six default losses.  Peak memory grows
-# linearly with them, about 47 bytes each on the derivative grid (the slope of
-# peak RSS between `verify --points 1` at --grid 500 and 1000) and 262 on the
-# sampled points (between `--points 10**6` and 6*10**6 at one loss; numpy
-# 2.4.6, x86-64), so a run at the cap peaks near 0.3 GB or 1.6 GB
-# respectively.
+# 1000x1000 derivative grid at the six default losses.  Peak memory does not
+# grow with them (36-40 MB RSS), so the cap bounds time: at the cap
+# `verify --points 1 --grid 1000` takes 1.4-1.8 s and `verify --points
+# 6000000 --losses 0.5 --grid 8` 4.0-5.7 s (CLI wall time, 2 vCPU, numpy
+# 2.4.6, x86-64).
 MAX_POINT_LOSSES = 6 * 10**6
+
+# (point, loss) pairs `run_all` evaluates at once; a chunk holds at least one
+# point at every loss.  At 2**13 a complex array is 128 KiB, so a chunk's
+# cascade stays in the core's cache; 2**12, 2**14 and 2**15 each took 10-20 %
+# more CPU time at --grid 1000.
+CHUNK_POINT_LOSSES = 2**13
 
 
 @dataclass(frozen=True)
@@ -85,38 +95,63 @@ def closed_form_coefficients(params: LoopParameters) -> RecycledCoefficients:
 def iterate_series(params: LoopParameters, stages: int) -> RecycledCoefficients:
     """`cascade` of `stages` interferometers (stages - 1 recycling passes) at
     one operating point; stages=1 is the conventional interferometer."""
-    return _one_point(cascade(params.phi, params.theta0, params.loss, stages - 1))
+    return _one_point(cascade(params.phi, params.theta0, params.loss, stages - 1)[0])
+
+
+def _sample_chunks(points: int, seed: int, size: int):
+    """`sample_points(points, seed)` as consecutive chunks of at most `size`
+    pairs: every chunk continues the one generator's stream."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, points, size):
+        yield rng.uniform(0.0, 2.0 * np.pi, size=(min(size, points - start), 2))
+
+
+def _grid_chunks(grid_n: int, size: int):
+    """The grid_n x grid_n derivative grid over [0, 2*pi)^2 as (phi, theta0)
+    pairs, phi-major, in consecutive chunks of at most `size` pairs."""
+    axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+    for start in range(0, grid_n * grid_n, size):
+        index = np.arange(start, min(start + size, grid_n * grid_n))
+        yield np.stack((axis[index // grid_n], axis[index % grid_n]), axis=-1)
 
 
 def _at_losses(points: np.ndarray, losses):
-    """(phi, theta0, loss) broadcasting every point against every loss."""
-    return points[:, 0], points[:, 1], np.asarray(losses, dtype=float)[:, None]
+    """(phi, theta0, loss) broadcasting every point against every loss.
+
+    All three are two-dimensional: numpy multiplies a one-element (1, 1)
+    array by a (1,) one on its scalar path, which rounds a complex product
+    apart from the vector loops, so a one-point chunk would print other
+    digits.
+    """
+    return points[None, :, 0], points[None, :, 1], np.asarray(losses, dtype=float)[:, None]
 
 
 def _worst(deviation) -> float:
     return float(np.max(np.abs(deviation), initial=0.0))
 
 
-def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
-    """Iterated cascade versus summed closed form.
-
-    Every point makes the same 2**k recycling passes, with k the fewest
-    squarings that bring the sample's largest loop-ratio magnitude under
-    STAGE_TOL, so each point's truncation stays below it.  That magnitude,
-    sqrt(1-L)*|sin(phi/2)|, peaks at the smallest loss; an empty loss list
-    counts as the blocked loop L = 1.  Raises ConvergenceError where it does
-    not contract.
+def _passes(chunks, least) -> int:
+    """The one recycling pass count for every point of `chunks` at every
+    loss: 2**k for the fewest k that bring the largest loop-ratio magnitude,
+    sqrt(1-L)*|sin(phi/2)| at the least loss, under STAGE_TOL, so each
+    point's truncation stays below it.  An empty loss list counts as the
+    blocked loop L = 1.  Raises ConvergenceError where the loop does not
+    contract.
     """
-    phi, theta0, loss = _at_losses(points, losses)
-    least = loss.min(initial=1.0)
-    gmag = np.abs(loop_ratio(phi, theta0, least))
-    _raise_where(~(gmag < 1.0), ConvergenceError,
-                 "loop ratio magnitude >= 1: the series does not contract", phi, theta0, least)
-    power, doublings = gmag.max(), 0
+    largest = 0.0
+    for points in chunks:
+        phi, theta0 = points[:, 0], points[:, 1]
+        gmag = np.abs(loop_ratio(phi, theta0, least))
+        _raise_where(~(gmag < 1.0), ConvergenceError,
+                     "loop ratio magnitude >= 1: the series does not contract", phi, theta0, least)
+        largest = max(largest, gmag.max(initial=0.0))
+    power, doublings = largest, 0
     while power >= STAGE_TOL:
         power, doublings = power * power, doublings + 1
-    iterated = cascade(phi, theta0, loss, 2**doublings)
-    closed = closed_form(phi, theta0, loss)
+    return 2**doublings
+
+
+def _oracle_check(iterated: RecycledCoefficients, closed: RecycledCoefficients) -> CheckResult:
     worst = max(
         _worst(iterated.upsilon - closed.upsilon),
         _worst(iterated.xi - closed.xi),
@@ -124,6 +159,18 @@ def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult
         _worst(np.abs(iterated.vac_b) - np.abs(closed.vac_b)),
     )
     return CheckResult("oracle equivalence (cascade vs closed form)", worst, ORACLE_TOL)
+
+
+def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
+    """Iterated cascade versus summed closed form at every point and loss.
+
+    Every point makes the same `_passes` count, set by the largest loop
+    ratio of the sample at its smallest loss.  `run_all` makes the same
+    comparison chunk by chunk.
+    """
+    phi, theta0, loss = _at_losses(points, losses)
+    iterated, _ = cascade(phi, theta0, loss, _passes([points], loss.min(initial=1.0)))
+    return _oracle_check(iterated, closed_form(phi, theta0, loss))
 
 
 def output_normalization(coef: RecycledCoefficients) -> CheckResult:
@@ -142,72 +189,71 @@ def energy_balance(coef: RecycledCoefficients, loss) -> CheckResult:
     return CheckResult("energy balance", worst, ENERGY_TOL)
 
 
-def derivative_factors(phi, theta0, loss):
-    """lambda1 = 2|Re s| and lambda2 = 2|s| from the exact slope s of the
-    closed-form upsilon in phi (broadcasts), independent of the kernels.
-
-    With u = exp(-i*phi), f = sqrt(1-L)*exp(-i*theta0) and
-    d = 2 - f + f*u = 2*(1 - gamma), upsilon = (u - 1)/2 - f*(u + 1)**2/(2*d)
-    and s = -i*u*[1/2 - f*(u + 1)*(4 - 3*f + f*u)/(2*d**2)], whose bracket
-    is ((1 - f)/(1 - gamma))**2/2.  Raises ResonantPoleError exactly where
-    `closed_form` does.
-    """
-    _, feedback, denom = _denominator(phi, theta0, loss)
-    slope = -1j * np.exp(-1j * np.asarray(phi)) * ((1.0 - feedback) / denom) ** 2  # 2s
-    return np.abs(slope.real), np.abs(slope)
-
-
 def _factor_vs_derivative(name: str, closed, numeric) -> CheckResult:
-    """Closed factor versus exact-derivative values on a derivative grid,
+    """Closed factor versus the same factor from the cascade's phase slope,
     relative.
 
     Points where the factor is below SMALL_VALUE_FLOOR are excluded: near
     signal nulls the relative comparison measures only cancellation noise.
+    With no point left the deviation reads -inf, which `run_all` refuses
+    for a whole grid.
     """
     mask = closed >= SMALL_VALUE_FLOOR
-    if not mask.any():
-        n = closed.shape[-1]
-        raise ParameterError(f"no point of the {n}x{n} derivative grid has a "
-                             f"factor >= {SMALL_VALUE_FLOOR}")
-    worst = _worst((numeric[mask] - closed[mask]) / closed[mask])
-    return CheckResult(name, worst, DERIVATIVE_RTOL)
+    relative = (numeric[mask] - closed[mask]) / closed[mask]
+    return CheckResult(name, float(np.max(np.abs(relative), initial=-np.inf)), DERIVATIVE_RTOL)
 
 
 def hd_factor_vs_derivative(closed, numeric) -> CheckResult:
-    """Closed homodyne factor versus twice the real part of the coefficient slope."""
+    """Closed homodyne factor versus |Re sigma|, the real part of the slope."""
     return _factor_vs_derivative("homodyne factor vs exact derivative", closed, numeric)
 
 
 def qcrb_factor_vs_derivative(closed, numeric) -> CheckResult:
-    """Closed bound factor versus twice the modulus of the coefficient slope."""
+    """Closed bound factor versus |sigma|, the modulus of the slope."""
     return _factor_vs_derivative("qcrb factor vs exact derivative", closed, numeric)
 
 
 def photon_factor_consistency(coef: RecycledCoefficients, lambda3) -> CheckResult:
-    """Closed photon factor versus |upsilon|**2 + |xi|**2, relative."""
+    """Closed photon factor versus the cascade's |upsilon|**2 + |xi|**2,
+    relative."""
     assembled = np.abs(coef.upsilon) ** 2 + np.abs(coef.xi) ** 2
     worst = _worst((lambda3 - assembled) / np.maximum(1.0, assembled))
     return CheckResult("photon factor vs coefficient sum", worst, PHOTON_SUM_RTOL)
 
 
-# The phases of `run_all` after the oracle, one function each so that a
-# phase's arrays are freed before the next phase allocates its own.
-def _identity_checks(points: np.ndarray, losses) -> tuple[CheckResult, ...]:
-    """The three sum rules on one closed form of the sample."""
-    phi, theta0, loss = _at_losses(points, losses)
-    coef = closed_form(phi, theta0, loss)
-    return (output_normalization(coef), energy_balance(coef, loss),
-            photon_factor_consistency(coef, lambda3_values(phi, theta0, loss)))
+# The per-chunk lines of `run_all`'s two phases, given a chunk's points at
+# every loss and the chunk's cascade.
+def _grid_checks(phi, theta0, loss, iterated, slope) -> tuple[CheckResult, ...]:
+    return (hd_factor_vs_derivative(lambda1_values(phi, theta0, loss), np.abs(slope.real)),
+            qcrb_factor_vs_derivative(lambda2_values(phi, theta0, loss), np.abs(slope)))
 
 
-def _derivative_checks(grid_n: int, losses) -> tuple[CheckResult, ...]:
-    """Both factor checks on one exact-derivative pass over the grid."""
-    axis = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    phi, theta0 = axis[:, None], axis[None, :]
-    loss = np.asarray(losses, dtype=float)[:, None, None]
-    hd, qcrb = derivative_factors(phi, theta0, loss)
-    return (hd_factor_vs_derivative(lambda1_values(phi, theta0, loss), hd),
-            qcrb_factor_vs_derivative(lambda2_values(phi, theta0, loss), qcrb))
+def _sample_checks(phi, theta0, loss, iterated, slope) -> tuple[CheckResult, ...]:
+    closed = closed_form(phi, theta0, loss)
+    return (_oracle_check(iterated, closed), output_normalization(closed),
+            energy_balance(closed, loss),
+            photon_factor_consistency(iterated, lambda3_values(phi, theta0, loss)))
+
+
+def _over_chunks(chunks, losses, checks) -> list[CheckResult]:
+    """Each line of `checks` at its worst over a point set, given as
+    `chunks(size)`, a fresh iterator of the set in chunks of at most `size`
+    points.  One pass over the set fixes its pass count; a second evaluates
+    every chunk at every loss.  The worst of a line is the np.max of its
+    chunks' worst, so a NaN anywhere reads NaN."""
+    size = max(1, CHUNK_POINT_LOSSES // max(1, len(losses)))
+    passes = _passes(chunks(size), np.asarray(losses, dtype=float).min(initial=1.0))
+    per_chunk = []
+    for points in chunks(size):
+        phi, theta0, loss = _at_losses(points, losses)
+        # Rebinding frees the previous chunk's cascade only once this one
+        # exists, so the C allocator reuses its pages.  Freed as a whole,
+        # each chunk went back to the system and was faulted in again: ~40 %
+        # of `verify --points 1 --grid 1000`.
+        evaluated = cascade(phi, theta0, loss, passes)
+        per_chunk.append(checks(phi, theta0, loss, *evaluated))
+    return [CheckResult(line[0].name, float(np.max([r.deviation for r in line])),
+                        line[0].tolerance) for line in zip(*per_chunk)]
 
 
 def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
@@ -218,9 +264,9 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
     points, seed and grid_n are integers, that points >= 1, seed >= 0 and
     the grid has 2 points per axis, and both suite sizes, points x losses
     and grid_n**2 x derivative losses, against MAX_POINT_LOSSES.  The
-    derivative phase runs first, so a grid with no point above
+    derivative grid runs first, so a grid with no point above
     SMALL_VALUE_FLOOR is refused before any point is sampled; then the
-    oracle, with nothing else held; then the identity phase.
+    sample.
     """
     check_loss(losses)
     for name, value in (("points", points), ("seed", seed), ("grid_n", grid_n)):
@@ -241,8 +287,11 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
                         (f"{grid_n}x{grid_n} grid", grid_n**2 * len(derivative_losses))):
         if count > MAX_POINT_LOSSES:
             raise ParameterError(f"{what}: {count} point-losses exceed {MAX_POINT_LOSSES}")
-    hd, qcrb = _derivative_checks(grid_n, derivative_losses)
-    pts = sample_points(points, seed)
-    oracle = oracle_equivalence(pts, losses)
-    normalization, energy, photon = _identity_checks(pts, losses)
+    hd, qcrb = _over_chunks(lambda size: _grid_chunks(grid_n, size), derivative_losses,
+                            _grid_checks)
+    if -np.inf in (hd.deviation, qcrb.deviation):
+        raise ParameterError(f"no point of the {grid_n}x{grid_n} derivative grid has a "
+                             f"factor >= {SMALL_VALUE_FLOOR}")
+    oracle, normalization, energy, photon = _over_chunks(
+        lambda size: _sample_chunks(points, seed, size), losses, _sample_checks)
     return [oracle, normalization, energy, hd, qcrb, photon]

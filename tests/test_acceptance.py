@@ -24,7 +24,8 @@ from recycled_mzi import (
     sweep,
 )
 from recycled_mzi.cli import main
-from recycled_mzi.verification import derivative_factors, oracle_equivalence, sample_points
+from recycled_mzi.verification import oracle_equivalence, sample_points
+from test_derivative import cascade_factors
 
 ORACLE_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 GRID_LOSSES = (0.05, 0.10, 0.15, 0.20)
@@ -75,7 +76,7 @@ def test_criterion_2_conventional_limit():
         # Independent oracle: a single cascade stage is the conventional
         # interferometer, and the blocked loop must coincide with it.
         for p, t in [(0.3, 1.0), (2.0, 4.4), (5.1, 0.2), (3.9, 5.8)]:
-            single = cascade(p, t, 1.0, 0)
+            single, _ = cascade(p, t, 1.0, 0)
             closed = closed_form(p, t, 1.0)
             assert single.upsilon == closed.upsilon
             assert single.xi == closed.xi
@@ -105,13 +106,13 @@ def test_criterion_4_purity_and_energy_balance():
 
 
 def test_criterion_5_qcrb_consistency():
-    with criterion(5, "exact-derivative bound agrees with the closed factor"):
+    with criterion(5, "cascade-slope bound agrees with the closed factor"):
         phi, theta0 = grid_axes(50)
         for loss in GRID_LOSSES:
             closed = lambda2_values(phi, theta0, loss)
-            numeric = derivative_factors(phi, theta0, loss)[1]
+            numeric = cascade_factors(phi, theta0, loss)[1]
             assert np.max(np.abs(numeric - closed) / closed) < 1e-6
-        # The exact-derivative bound times the closed factor is the
+        # The cascade-slope bound times the closed factor is the
         # shot-noise limit; spot the identity at single points across the
         # grid where the factor is alive.
         axis = np.linspace(0.0, 2 * np.pi, 50, endpoint=False)
@@ -124,8 +125,8 @@ def test_criterion_5_qcrb_consistency():
                     factor = merit_report(params).lambda2
                     if factor <= 1e-3:
                         continue
-                    bound = 1.0 / float(derivative_factors(params.phi, params.theta0,
-                                                          params.loss)[1])
+                    bound = 1.0 / float(cascade_factors(params.phi, params.theta0,
+                                                        params.loss)[1])
                     worst = max(worst, abs(bound * factor - 1.0))
         assert worst < 1e-6
 

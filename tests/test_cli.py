@@ -35,6 +35,21 @@ def read_csv(text):
     return header, rows
 
 
+def assert_same_lines(actual, expected):
+    """Fail at the first line (or list item) where `actual` and `expected`
+    differ, naming it.  pytest's own report of a failed `==` on two long
+    texts diffs them whole, which took minutes on a misordered sweep."""
+    if isinstance(actual, (str, bytes)):
+        actual, expected = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    if actual != expected:
+        index = next((i for i, pair in enumerate(zip(actual, expected)) if pair[0] != pair[1]),
+                     min(len(actual), len(expected)))
+        got, want = (lines[index] if index < len(lines) else "<end>"
+                     for lines in (actual, expected))
+        pytest.fail(f"line {index} of {len(actual)} (expected {len(expected)}): "
+                    f"{got!r} != {want!r}", pytrace=False)
+
+
 def per_cell_sweep_csv(grid):
     """CSV text of a sweep, one f-string `.12g` field per value of each cell.
 
@@ -205,7 +220,7 @@ class TestStreamedSweep:
         grid = sweep(metric, loss, n)
         chunks = list(cli.sweep_csv(grid))
         assert len(chunks) == 1 + n
-        assert "".join(chunks) == per_cell_sweep_csv(grid)
+        assert_same_lines("".join(chunks), per_cell_sweep_csv(grid))
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_out_file_bytes_equal_stdout_bytes(self, tmp_path, metric):
@@ -214,7 +229,7 @@ class TestStreamedSweep:
         target = tmp_path / "sweep.csv"
         to_stdout = subprocess.run(argv, capture_output=True, check=True)
         subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
-        assert target.read_bytes() == to_stdout.stdout
+        assert_same_lines(target.read_bytes(), to_stdout.stdout)
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     def test_peak_memory_below_file_size(self, tmp_path, metric):
@@ -249,7 +264,7 @@ def test_sweep_csv_formats_any_grid_like_per_cell(data, n):
         axis=data.draw(arrays(np.float64, n, elements=edge_floats)),
         values=data.draw(arrays(np.float64, (n, n), elements=edge_floats)),
     )
-    assert "".join(cli.sweep_csv(grid)) == per_cell_sweep_csv(grid)
+    assert_same_lines("".join(cli.sweep_csv(grid)), per_cell_sweep_csv(grid))
 
 
 def percent_texts(values):
@@ -262,7 +277,7 @@ class TestFormatValues:
     def test_million_doubles_across_the_fast_path(self):
         # [1e-8, 1e13] holds the fast path [1e-4, 1e12) and both its edges.
         values = 10.0 ** np.random.default_rng(20).uniform(-8.0, 13.0, 1_000_000)
-        assert cli.format_values(values) == percent_texts(values)
+        assert_same_lines(cli.format_values(values), percent_texts(values))
 
     def test_halves_at_every_digit(self):
         # (n + 1/2) * 10**-j and the doubles either side: exact decimal
@@ -274,7 +289,7 @@ class TestFormatValues:
         halves = (n + 0.5) * 10.0 ** -j.astype(np.float64)
         values = np.concatenate([halves, np.nextafter(halves, 0.0),
                                  np.nextafter(halves, np.inf)])
-        assert cli.format_values(values) == percent_texts(values)
+        assert_same_lines(cli.format_values(values), percent_texts(values))
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = 10.0 ** np.arange(-8, 15)
@@ -282,7 +297,7 @@ class TestFormatValues:
         above = np.nextafter(powers, np.inf)
         values = np.concatenate([powers, below, np.nextafter(below, 0.0),
                                  above, np.nextafter(above, np.inf)])
-        assert cli.format_values(values) == percent_texts(values)
+        assert_same_lines(cli.format_values(values), percent_texts(values))
         # One value per text layout of the fast path, exponent k in [-4, 11]
         # and last nonzero digit at each place of 12, and its neighbours:
         # random doubles almost never print fewer than 7 digits.
@@ -291,20 +306,20 @@ class TestFormatValues:
         layouts = (digits / 10.0 ** (11 - k)).ravel()
         values = np.concatenate([layouts, np.nextafter(layouts, 0.0),
                                  np.nextafter(layouts, np.inf)])
-        assert cli.format_values(values) == percent_texts(values)
+        assert_same_lines(cli.format_values(values), percent_texts(values))
 
     def test_every_axis_the_cli_accepts(self):
         # `sweep --n` takes 2 to 2000 points per axis, each axis as `sweep`
         # builds it.  Its 0.0 takes the per-value route.
         for n in range(2, math.isqrt(MAX_GRID_POINTS) + 1):
             axis = np.linspace(0.0, landscape.TWO_PI, n, endpoint=False)
-            assert cli.format_values(axis) == percent_texts(axis), n
+            assert_same_lines(cli.format_values(axis), percent_texts(axis))
 
     def test_values_off_the_fast_path(self):
         values = np.array([0.0, -0.0, 5e-324, -2.5e-310, -3.0, 1e12, 999999999999.5,
                            9.99999999999995e-5, 123456789012.5, 1e300, np.inf, -np.inf,
                            np.nan])
-        assert cli.format_values(values) == percent_texts(values)
+        assert_same_lines(cli.format_values(values), percent_texts(values))
 
     def test_few_values_take_the_per_value_route(self, monkeypatch):
         # On a landscape only zeros and round-off specks (~1e-16) should
@@ -328,7 +343,7 @@ class TestFormatValues:
         grid = sweep(metric, loss, 130)
         chunks = list(cli.sweep_csv(grid))
         assert len(chunks) == 1 + 130
-        assert "".join(chunks) == per_cell_sweep_csv(grid)
+        assert_same_lines("".join(chunks), per_cell_sweep_csv(grid))
 
     @pytest.mark.parametrize("block", [1, 5, 7, 35])
     def test_block_size_changes_no_byte(self, monkeypatch, block):
@@ -352,7 +367,7 @@ class TestFormatValues:
         # One more format call: the axis.
         assert calls == {"kernel": blocks, "format": blocks + 1}
         assert len(chunks) == 1 + 7
-        assert "".join(chunks) == per_cell_sweep_csv(grid)
+        assert_same_lines("".join(chunks), per_cell_sweep_csv(grid))
 
 
 # Grid sizes: refused ones (negative, 0, 1), accepted ones up to 30, and ones

@@ -63,6 +63,12 @@ GOLDEN = {
         "5aa8718e2b37839d84c280d3a568fadfef2d2489480ffab0143aa0357b1514b1",
     "optimize --metric lambda1 --losses 0.05,0.1,0.2 --format json":
         "02895bb69811268d951cfee322e0210ffbee3addb668d135296ffeed97ae338e",
+    # Three lines changed when the cascade became the one oracle: the two
+    # factor lines compare the kernels with the cascade's phase slope instead
+    # of the closed-form derivative (3.996e-13 -> 4.018e-13, 2.834e-13 ->
+    # 4.482e-13), and the photon line the lambda3 kernel with the cascade's
+    # coefficients instead of the closed form's (6.079e-14 -> 6.176e-14);
+    # before that the digest was 5a80fbeb...3037.
     # The oracle line changed when every point of the sample began making
     # the same 2**k cascade passes, set by the sample's largest loop ratio,
     # instead of its own minimal count (4.441e-14 -> 1.986e-15); before that
@@ -78,7 +84,7 @@ GOLDEN = {
     # by repeated squaring (4.530e-14 -> 4.441e-14); before that the digest
     # was eb0c5f93...8c35.
     "verify":
-        "5a80fbebe2e38ef5c8e5a324a885f1c3c7e1c5d4ca088244149f46e4c7023037",
+        "b7a790ec795f0794cfbeb3043a06dd5aa38a1c52ba0339b75409d5955ea89fd7",
 }
 
 

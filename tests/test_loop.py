@@ -72,7 +72,7 @@ class TestClosedForm:
         assert coef.upsilon == pytest.approx(0.0, abs=1e-14)
         assert coef.xi == pytest.approx(1j, abs=1e-14)
         # With the loop blocked, a single stage already is the steady state.
-        single = cascade(0.0, 0.0, 1.0, 0)
+        single, _ = cascade(0.0, 0.0, 1.0, 0)
         assert single.upsilon == coef.upsilon
         assert single.xi == coef.xi
 
@@ -133,12 +133,14 @@ class TestIterateSeries:
 
     def test_single_stage_is_conventional_interferometer(self):
         points = random_points(50, seed=5)
-        coef = cascade(points[:, 0], points[:, 1], 0.3, 0)
+        coef, slope = cascade(points[:, 0], points[:, 1], 0.3, 0)
         s11, s12, s21, s22 = mzi_entries(points[:, 0])
         assert np.max(np.abs(coef.upsilon - s11)) < 1e-15
         assert np.max(np.abs(coef.xi - s21)) < 1e-15
         np.testing.assert_allclose(np.abs(coef.vac_a), np.abs(s12), rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.abs(coef.vac_b), np.abs(s22), rtol=0, atol=1e-15)
+        # sigma = 2 d(s11)/d(phi) = -i*exp(-i*phi): lambda2 = 1, lambda1 = |sin(phi)|.
+        assert np.max(np.abs(slope + 1j * np.exp(-1j * points[:, 0]))) < 1e-15
 
     def test_blocked_loop_makes_stages_irrelevant(self):
         assert cascade(1.3, 0.4, 1.0, 4) == cascade(1.3, 0.4, 1.0, 0)
@@ -147,7 +149,7 @@ class TestIterateSeries:
         points = random_points(20, seed=13)
         phi, theta0 = points[:, 0], points[:, 1]
         # |gamma| <= sqrt(0.9), and sqrt(0.9)**1024 < 1e-23.
-        iterated = cascade(phi, theta0, 0.10, 1024)
+        iterated, _ = cascade(phi, theta0, 0.10, 1024)
         closed = closed_form(phi, theta0, 0.10)
         assert np.max(np.abs(iterated.upsilon - closed.upsilon)) < 1e-10
         assert np.max(np.abs(iterated.xi - closed.xi)) < 1e-10
@@ -165,15 +167,20 @@ class TestIterateSeries:
     def test_lockstep_matches_point_by_point_recursion(self):
         # Every point of one array call makes the same passes, counted by a
         # Python or numpy integer; the reference steps each point alone in
-        # plain complex arithmetic.
+        # plain complex arithmetic, carrying the phase derivative of the
+        # input coefficient pass by pass.
         points = random_points(40, seed=29)
         for passes in (0, 1, 2, np.int32(9), 27, np.uint64(54)):
-            batch = cascade(points[:, 0], points[:, 1], 0.2, passes)
+            batch, slope = cascade(points[:, 0], points[:, 1], 0.2, passes)
             for k, (phi, theta0) in enumerate(points):
                 s11, s12, s21, s22 = (complex(s) for s in mzi_entries(phi))
+                u = cmath.exp(-1j * phi)
+                ds11, ds12, ds22 = -0.5j * u, 0.5 * u, 0.5j * u
                 feedback = math.sqrt(0.8) * cmath.exp(-1j * theta0)
-                coef_in, coef_seed, coef_vac = 0j, 1 + 0j, 0j
+                coef_in, coef_seed, coef_vac, dcoef_in = 0j, 1 + 0j, 0j, 0j
                 for _ in range(passes):
+                    dcoef_in = (feedback * ds22 * coef_in + feedback * s22 * dcoef_in
+                                + feedback * ds12)
                     coef_in = feedback * s22 * coef_in + feedback * s21
                     coef_seed = feedback * s22 * coef_seed
                     coef_vac = feedback * s22 * coef_vac + math.sqrt(0.2)
@@ -185,11 +192,14 @@ class TestIterateSeries:
                 }
                 for field, value in expected.items():
                     assert abs(getattr(batch, field)[k] - value) < 1e-13 * max(1, abs(value))
+                sigma = 2 * (ds11 + ds12 * coef_in + s12 * dcoef_in)
+                assert abs(slope[k] - sigma) < 1e-13 * max(1, abs(sigma))
 
     def test_peak_memory_per_point(self):
-        # The passes compose on two complex arrays, gamma**m and the partial
-        # sum: ~240 bytes per point at the peak.  2**11 passes is the count
-        # the oracle picks for these points at L = 0.05.
+        # The passes compose on gamma**m, the partial sum and the phase
+        # derivatives of both: ~340 bytes per point at the peak, against
+        # ~240 before the slope was carried.  2**11 passes is the count the
+        # oracle picks for these points at L = 0.05.
         points = random_points(10**5, seed=31)
         phi, theta0 = points[:, 0], points[:, 1]
         passes = 2**11
@@ -199,7 +209,7 @@ class TestIterateSeries:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 260 * len(points)
+        assert peak <= 360 * len(points)
 
 
 class TestStagesForTolerance:
@@ -294,9 +304,11 @@ class TestSteadyStateInvariants:
 
 
 def test_run_all_evaluates_each_route_once(monkeypatch):
-    # One exact-derivative pass serves both factor checks, one cascade of
-    # one pass count the oracle, and two closed forms of the sample the
-    # oracle and the three identities.  The results and their order do not depend on the count.
+    # One chunk of each point set at these sizes: one cascade of the grid
+    # serves both factor checks with its slope, and one cascade and one
+    # closed form of the sample serve the oracle, the two sum rules and the
+    # photon check.  Each set makes its own one pass count.  The results and
+    # their order do not depend on the counts.
     kwargs = {"points": 7, "seed": 3, "losses": (0.1, 0.5), "grid_n": 5}
     expected = verification.run_all(**kwargs)
     calls, passes = [], []
@@ -312,15 +324,33 @@ def test_run_all_evaluates_each_route_once(monkeypatch):
             return original(phi, *args, **kwargs)
         monkeypatch.setattr(verification, name, wrapper)
 
-    for name in ("derivative_factors", "cascade", "closed_form"):
+    for name in ("cascade", "closed_form"):
         counted(name)
     assert verification.run_all(**kwargs) == expected
     assert [result.name for result in expected] == [
         "oracle equivalence (cascade vs closed form)", "output-mode normalization",
         "energy balance", "homodyne factor vs exact derivative",
         "qcrb factor vs exact derivative", "photon factor vs coefficient sum"]
-    names = [name for name, _ in calls]
-    assert names.count("derivative_factors") == 1
-    assert names.count("cascade") == 1
-    assert len(passes) == 1 and type(passes[0]) is int
-    assert calls.count(("closed_form", (2, 7))) == 2
+    assert calls == [("cascade", (2, 25)), ("cascade", (2, 7)), ("closed_form", (2, 7))]
+    assert all(type(count) is int for count in passes)
+
+
+# Sizes whose chunks divide neither point set: 50 points and 7 x 7 = 49 grid
+# points, at two losses.
+CHUNKED = {"points": 50, "seed": 5, "losses": (0.0, 0.05), "grid_n": 7}
+
+
+@pytest.mark.parametrize("chunk", [1, 2 * 9, 2 * 13])
+def test_chunk_size_changes_no_result(monkeypatch, chunk):
+    # Point-losses per chunk: 1 point a chunk at 1; 9 sample points and 9
+    # grid points (one derivative loss, 0.05) a chunk at 18; 13 and 26 at 26.
+    expected = verification.run_all(**CHUNKED)
+    monkeypatch.setattr(verification, "CHUNK_POINT_LOSSES", chunk)
+    assert verification.run_all(**CHUNKED) == expected
+
+
+def test_sample_chunks_join_to_the_sample():
+    for size in (1, 7, 64, 1000):
+        chunks = list(verification._sample_chunks(100, 11, size))
+        assert max(len(chunk) for chunk in chunks) == min(size, 100)
+        np.testing.assert_array_equal(np.concatenate(chunks), sample_points(100, seed=11))

@@ -15,11 +15,8 @@ from recycled_mzi import (
 )
 from recycled_mzi.loop import POLE_THRESHOLD, loop_ratio
 from recycled_mzi.metrology import KERNEL_POLE_THRESHOLD
-from recycled_mzi.verification import (
-    DERIVATIVE_RTOL,
-    derivative_factors,
-    output_normalization,
-)
+from recycled_mzi.verification import DERIVATIVE_RTOL, output_normalization
+from test_derivative import cascade_factors
 
 REFERENCE = LoopParameters(phi=2.5702, theta0=0.3524, loss=0.10)
 
@@ -31,11 +28,11 @@ def angle_grid(n=100):
 
 
 def derivative_lambda1(params):
-    return float(derivative_factors(params.phi, params.theta0, params.loss)[0])
+    return float(cascade_factors(params.phi, params.theta0, params.loss)[0])
 
 
 def derivative_lambda2(params):
-    return float(derivative_factors(params.phi, params.theta0, params.loss)[1])
+    return float(cascade_factors(params.phi, params.theta0, params.loss)[1])
 
 
 class TestHomodyneMoments:
@@ -114,11 +111,11 @@ class TestLambda1Numeric:
         # Point (449, 25) of `verify --grid 1000` at L = 0.05, where lambda1
         # is small and steep: a plain central difference at step 1e-6 is
         # 1.4e-6 off there, over DERIVATIVE_RTOL, and finite differences
-        # needed a step chosen per point.  The exact derivative needs none.
+        # needed a step chosen per point.  The cascade's slope needs none.
         axis = angle_grid(1000)
         phi, theta0 = axis[449], axis[25]
         closed = lambda1_values(phi, theta0, 0.05)
-        numeric = derivative_factors(phi, theta0, 0.05)[0]
+        numeric = cascade_factors(phi, theta0, 0.05)[0]
         assert abs(numeric - closed) / closed < DERIVATIVE_RTOL
 
 
@@ -137,7 +134,7 @@ class TestLambda2:
         params = LoopParameters(phi=0.0, theta0=0.0, loss=0.1)
         factor = merit_report(params).lambda2
         assert factor == pytest.approx(1.9 - 2 * math.sqrt(0.9), rel=1e-12)
-        # Cross-check through the exact-derivative bound.
+        # Cross-check through the cascade-slope bound.
         assert derivative_lambda2(params) == pytest.approx(factor, rel=1e-5)
 
     def test_lower_bounds_homodyne_factor(self):
@@ -235,6 +232,27 @@ class TestPhotonBudget:
         # B > 0 for L > 0, so the second bound is strict.
         assert remainder.min() > 0.0
         assert np.all(l1 <= l2 * (1.0 + 1e-9))
+
+
+# Per loss, the largest |lambda1 - lambda2*|sin(Phi)|| / lambda2 allowed
+# below: about twice the largest seen on five samples of 10**5 uniform points
+# (4.9e-15, 1.2e-13 and 1.2e-11), the kernels' own envelope.
+SLOPE_PHASE_RTOL = {0.5: 1e-14, 0.1: 2.5e-13, 1e-2: 2.5e-11}
+
+
+@pytest.mark.parametrize("loss", sorted(SLOPE_PHASE_RTOL))
+def test_homodyne_gain_is_the_bound_gain_times_the_slope_phase(loss):
+    """sigma = 2 d(upsilon)/d(phi) = -i*u*((1 - f)/(1 - gamma))**2 with
+    u = exp(-i*phi) and f = sqrt(1-L)*exp(-i*theta0), so lambda2 = |sigma|
+    and lambda1 = |Re sigma| = lambda2*|sin(Phi)| with
+    Phi = phi - 2 arg(1 - f) + 2 arg(1 - gamma): the share of the slope that
+    lies along the measured quadrature."""
+    phi, theta0 = np.random.default_rng(17).uniform(0.0, 2 * math.pi, (2, 10**5))
+    feedback = math.sqrt(1.0 - loss) * np.exp(-1j * theta0)
+    phase = (phi - 2.0 * np.angle(1.0 - feedback)
+             + 2.0 * np.angle(1.0 - loop_ratio(phi, theta0, loss)))
+    l1, l2 = lambda1_values(phi, theta0, loss), lambda2_values(phi, theta0, loss)
+    assert np.max(np.abs(l1 - l2 * np.abs(np.sin(phase))) / l2) < SLOPE_PHASE_RTOL[loss]
 
 
 class TestMeritReport:

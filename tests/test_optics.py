@@ -127,7 +127,7 @@ def test_loss_transform_intermediate():
 def test_loss_transform_preserves_power(loss):
     # The cascade's own vacuum bookkeeping keeps the monitored output a
     # free mode.  |gamma| <= |sin(0.5)| < 0.48, and 0.48**64 < 1e-20.
-    coef = cascade(1.0, 0.5, loss, 64)
+    coef, _ = cascade(1.0, 0.5, loss, 64)
     assert abs(coef.upsilon) ** 2 + abs(coef.vac_a) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -231,7 +231,8 @@ class TestCheckLoss:
 def test_run_all_checks_inputs_before_sampling(monkeypatch, kwargs, reason):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled points before checking the inputs")
-    monkeypatch.setattr(verification, "sample_points", refuse)
+    # `run_all` draws its sample chunk by chunk.
+    monkeypatch.setattr(verification, "_sample_chunks", refuse)
     with pytest.raises(ParameterError, match=reason):
         verification.run_all(**kwargs)
 
