@@ -342,8 +342,8 @@ CHUNKED = {"points": 50, "seed": 5, "losses": (0.0, 0.05), "grid_n": 7}
 
 @pytest.mark.parametrize("chunk", [1, 2 * 9, 2 * 13])
 def test_chunk_size_changes_no_result(monkeypatch, chunk):
-    # Point-losses per chunk: 1 point a chunk at 1; 9 sample points and 9
-    # grid points (one derivative loss, 0.05) a chunk at 18; 13 and 26 at 26.
+    # One point a chunk at 1; 9 sample points (two losses) and 18 grid
+    # points (one derivative loss, 0.05) a chunk at 18; 13 and 26 at 26.
     expected = verification.run_all(**CHUNKED)
     monkeypatch.setattr(verification, "CHUNK_POINT_LOSSES", chunk)
     assert verification.run_all(**CHUNKED) == expected
