@@ -27,8 +27,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio
+from .errors import ConvergenceError, ParameterError, ResonantPoleError
+from .loop import POLE_THRESHOLD, RecycledCoefficients, cascade, closed_form, loop_ratio
 from .metrology import lambda1_values, lambda2_values, lambda3_values
 from .optics import LoopParameters, _raise_where, check_loss
 
@@ -135,13 +135,18 @@ def _passes(chunks, least) -> int:
     loss: 2**k for the fewest k that bring the largest loop-ratio magnitude,
     sqrt(1-L)*|sin(phi/2)| at the least loss, under STAGE_TOL, so each
     point's truncation stays below it.  An empty loss list counts as the
-    blocked loop L = 1.  Raises ConvergenceError where the loop does not
+    blocked loop L = 1.  Raises ResonantPoleError where `closed_form` would
+    at the least loss, so the pole is refused under one name whichever route
+    meets it first, and ConvergenceError where else the loop does not
     contract.
     """
     largest = 0.0
     for points in chunks:
         phi, theta0 = points[:, 0], points[:, 1]
-        gmag = np.abs(loop_ratio(phi, theta0, least))
+        gamma = loop_ratio(phi, theta0, least)
+        _raise_where(np.abs(1.0 - gamma) < POLE_THRESHOLD, ResonantPoleError,
+                     "lossless loop resonance: no steady state", phi, theta0, least)
+        gmag = np.abs(gamma)
         _raise_where(~(gmag < 1.0), ConvergenceError,
                      "loop ratio magnitude >= 1: the series does not contract", phi, theta0, least)
         largest = max(largest, gmag.max(initial=0.0))

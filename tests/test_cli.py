@@ -764,14 +764,17 @@ class TestVerify:
     (("verify", "--losses", "1.5"), "ParameterError"),
     # The (0, 1] rule of sweeps refuses nan as well.
     (("sweep", "--metric", "lambda1", "--loss", "nan"), "ParameterError"),
-    # At the default grid: |1 - gamma| = 5e-10 at 1e-9 trips the exact
-    # derivative's guard, the one `closed_form` uses; 5e-8 at 1e-7 trips
-    # only the kernels' wider one.
+    # At the default grid: |1 - gamma| = 5e-10 at 1e-9 trips the guard
+    # `closed_form` uses; 5e-8 at 1e-7 trips only the kernels' wider one.
     (("verify", "--losses", "1e-9"), "ResonantPoleError"),
     (("verify", "--losses", "1e-7"), "ResonantPoleError"),
     # Below the search floor 4e-6, refused before the seed grid holds the
     # pole at phi = pi, theta0 = 0.
     (("optimize", "--metric", "lambda1", "--losses", "1e-6"), "ParameterError"),
+    # So small a loss that sqrt(1 - L) rounds to 1: the grid's row phi = pi
+    # does not contract, and the pass count refuses its pole at theta0 = 0
+    # under the name `closed_form` gives it.
+    (("verify", "--losses", "1e-17"), "ResonantPoleError"),
 ])
 def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
