@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -133,11 +134,24 @@ def format_values(values: np.ndarray) -> list[bytes]:
 
 
 def _write_chunks(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write text chunks to stdout, or atomically to `out_path` as they come."""
+    """Write text chunks to stdout, or atomically to `out_path` as they come.
+
+    `out_path` is written through its symlinks, like open() would, and what
+    it resolves to must be a regular file or a new path: os.replace would
+    put a regular file in place of a symlink, a FIFO or a device node.
+    """
     if out_path is None:
         sys.stdout.writelines(chunks)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
+    target = os.path.realpath(out_path)
+    try:
+        regular = stat.S_ISREG(os.stat(target).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        raise FileExistsError(f"{out_path!r} is not a regular file; --out must be a "
+                              f"regular file or a new path")
+    directory = os.path.dirname(target)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         # mkstemp creates the file private (0600); give it the mode a plain
@@ -147,7 +161,7 @@ def _write_chunks(chunks: Iterable[str], out_path: str | None) -> None:
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, target)
     except BaseException:
         try:
             os.unlink(tmp_path)
@@ -309,6 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_or_discard(stream) -> None:
+    """Flush a standard stream, or point it at os.devnull if it cannot be
+    written: the bytes a failed write left in its buffer would fail again at
+    the interpreter's last flush, which exits 120.  A closed stream's
+    descriptor may be the one os.devnull opens on, which then stays open."""
+    try:
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        if devnull != stream.fileno():
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
@@ -321,17 +349,18 @@ def main(argv: list[str] | None = None) -> int:
         # What is still buffered belongs to this command: a reader that has
         # gone fails it here, like any other write.
         sys.stdout.flush()
-        return code
     # An unwritable --out path or stdout is a usage error like a domain error.
     except (ModelError, OSError) as exc:
-        # A broken pipe is stdout's: --out is written through a temp file.
-        # The bytes the failed write left in stdout's buffer would fail again
-        # at the interpreter's last flush, which exits 120: send them to
-        # os.devnull instead.
-        if isinstance(exc, BrokenPipeError):
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}),
-              file=sys.stderr)
-        return EXIT_USAGE
+        # The reason is best-effort: a stderr that is closed, or whose reader
+        # has gone, must not turn exit 2 into the uncaught error's exit 1.
+        try:
+            print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}),
+                  file=sys.stderr)
+        except OSError:
+            pass
+        code = EXIT_USAGE
+    # After a broken pipe on stdout, or a failed write to stderr (argparse
+    # drops its own), the stream still holds bytes.
+    for stream in (sys.stdout, sys.stderr):
+        _flush_or_discard(stream)
+    return code

@@ -30,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParameterError, ResonantPoleError
-from .optics import _raise_where, check_loss, mzi_entries
+from .optics import check_loss, mzi_entries, raise_where
 
 # Below this loop-denominator magnitude the steady state is numerically
 # meaningless; reachable only at L = 0 with phi = pi, theta0 = 0 (mod 2*pi).
@@ -73,17 +73,25 @@ def loop_ratio(phi, theta0, loss):
     return _feedback(theta0, loss) * mzi_entries(phi)[3]
 
 
+def refuse_pole(denom, phi, theta0, loss) -> None:
+    """Raise ResonantPoleError naming the first point where the loop
+    denominator 1 - gamma is below POLE_THRESHOLD in magnitude: the lossless
+    pole, where no steady state exists.  `closed_form` and the pass count of
+    `verification` both refuse the pole here."""
+    raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
+                "lossless loop resonance: no steady state", phi, theta0, loss)
+
+
 def closed_form(phi, theta0, loss) -> RecycledCoefficients:
     """Steady-state coefficients from the summed geometric series (broadcasts).
 
-    Raises ResonantPoleError if any point lies within POLE_THRESHOLD of the
-    lossless pole, where |1 - gamma| < POLE_THRESHOLD.
+    Raises ResonantPoleError (`refuse_pole`) if any point lies within
+    POLE_THRESHOLD of the lossless pole, where |1 - gamma| < POLE_THRESHOLD.
     """
     s11, s12, s21, s22 = mzi_entries(phi)
     feedback = _feedback(theta0, loss)
     denom = 1.0 - feedback * s22
-    _raise_where(np.abs(denom) < POLE_THRESHOLD, ResonantPoleError,
-                 "lossless loop resonance: no steady state", phi, theta0, loss)
+    refuse_pole(denom, phi, theta0, loss)
     sqrt_loss = np.sqrt(loss)
     return RecycledCoefficients(
         upsilon=s11 + s12 * s21 * (feedback / denom),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantPoleError
-from .optics import LoopParameters, _raise_where, check_loss
+from .optics import LoopParameters, check_loss, raise_where
 
 # The closed trigonometric kernels divide by the squared loop denominator,
 # which loses every significant double-precision digit well before the
@@ -85,9 +85,9 @@ def _trig_pieces(phi, theta0, loss):
     half_denom_sq = shift - trans_sq * cos_phi - loss + 3.0
     floor = 2.0 * KERNEL_POLE_THRESHOLD**2
     if half_denom_sq.min(initial=np.inf) < floor:
-        _raise_where(half_denom_sq < floor, ResonantPoleError,
-                     f"|1 - gamma| < {KERNEL_POLE_THRESHOLD}, too near the lossless resonance",
-                     phi, theta0, loss)
+        raise_where(half_denom_sq < floor, ResonantPoleError,
+                    f"|1 - gamma| < {KERNEL_POLE_THRESHOLD}, too near the lossless resonance",
+                    phi, theta0, loss)
     return loss, trans, cos_phi, cos_theta0, half_denom_sq, shift
 
 

@@ -45,7 +45,7 @@ def check_loss(loss) -> np.ndarray:
     raise ParameterError(f"loss must lie in [0, 1], got {given.flat[first]}")
 
 
-def _raise_where(mask, error: type, message: str, phi, theta0, loss) -> None:
+def raise_where(mask, error: type, message: str, phi, theta0, loss) -> None:
     """Raise `error` naming the first point where `mask` holds."""
     if np.any(mask):
         at = np.unravel_index(np.argmax(mask), np.shape(mask))

@@ -17,7 +17,8 @@ chunks of about CHUNK_POINT_LOSSES (point, loss) pairs, one cascade per
 chunk serving every line that reads it, and keeps each line's worst over the
 chunks.  Each set's one pass count is fixed from the whole set before its
 first chunk, so no printed byte depends on the chunk size, and peak memory
-does not grow with the set.
+does not grow with the set.  `oracle_equivalence` is the same chunk loop
+over the points it is given, and `sample_points` the sample in one chunk.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, ResonantPoleError
-from .loop import POLE_THRESHOLD, RecycledCoefficients, cascade, closed_form, loop_ratio
+from .errors import ConvergenceError, ParameterError
+from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio, refuse_pole
 from .metrology import lambda1_values, lambda2_values, lambda3_values
-from .optics import LoopParameters, _raise_where, check_loss
+from .optics import LoopParameters, check_loss, raise_where
 
 DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
@@ -73,10 +74,11 @@ class CheckResult:
 
 
 def sample_points(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Seeded pseudo-random (phi, theta0) pairs, uniform over [0, 2*pi)^2;
-    `run_all` checks points >= 1 and seed >= 0."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 2.0 * np.pi, size=(points, 2))
+    """Seeded pseudo-random (phi, theta0) pairs, uniform over [0, 2*pi)^2:
+    `_sample_chunks` in one chunk.  `run_all` checks points >= 1 and
+    seed >= 0."""
+    (sample,) = _sample_chunks(points, seed, max(1, points))
+    return sample
 
 
 # One-point forms of the two coefficient routes.  Only tests and the
@@ -99,10 +101,11 @@ def iterate_series(params: LoopParameters, stages: int) -> RecycledCoefficients:
 
 
 def _sample_chunks(points: int, seed: int, size: int):
-    """`sample_points(points, seed)` as consecutive chunks of at most `size`
-    pairs: every chunk continues the one generator's stream."""
+    """The seeded sample as consecutive chunks of at most `size` pairs:
+    every chunk continues the one generator's stream.  No points make one
+    empty chunk."""
     rng = np.random.default_rng(seed)
-    for start in range(0, points, size):
+    for start in range(0, max(1, points), size):
         yield rng.uniform(0.0, 2.0 * np.pi, size=(min(size, points - start), 2))
 
 
@@ -135,20 +138,19 @@ def _passes(chunks, least) -> int:
     loss: 2**k for the fewest k that bring the largest loop-ratio magnitude,
     sqrt(1-L)*|sin(phi/2)| at the least loss, under STAGE_TOL, so each
     point's truncation stays below it.  An empty loss list counts as the
-    blocked loop L = 1.  Raises ResonantPoleError where `closed_form` would
-    at the least loss, so the pole is refused under one name whichever route
-    meets it first, and ConvergenceError where else the loop does not
-    contract.
+    blocked loop L = 1.  Refuses the pole at the least loss through
+    `refuse_pole`, the test of `closed_form`, so it is refused under one
+    name whichever route meets it first; then raises ConvergenceError where
+    else the loop does not contract.
     """
     largest = 0.0
     for points in chunks:
         phi, theta0 = points[:, 0], points[:, 1]
         gamma = loop_ratio(phi, theta0, least)
-        _raise_where(np.abs(1.0 - gamma) < POLE_THRESHOLD, ResonantPoleError,
-                     "lossless loop resonance: no steady state", phi, theta0, least)
+        refuse_pole(1.0 - gamma, phi, theta0, least)
         gmag = np.abs(gamma)
-        _raise_where(~(gmag < 1.0), ConvergenceError,
-                     "loop ratio magnitude >= 1: the series does not contract", phi, theta0, least)
+        raise_where(~(gmag < 1.0), ConvergenceError,
+                    "loop ratio magnitude >= 1: the series does not contract", phi, theta0, least)
         largest = max(largest, gmag.max(initial=0.0))
     power, doublings = largest, 0
     while power >= STAGE_TOL:
@@ -167,15 +169,17 @@ def _oracle_check(iterated: RecycledCoefficients, closed: RecycledCoefficients) 
 
 
 def oracle_equivalence(points: np.ndarray, losses=DEFAULT_LOSSES) -> CheckResult:
-    """Iterated cascade versus summed closed form at every point and loss.
+    """Iterated cascade versus summed closed form at every point and loss:
+    `run_all`'s oracle line, through its chunk loop over consecutive chunks
+    of `points`, so its peak does not grow with them.
 
     Every point makes the same `_passes` count, set by the largest loop
-    ratio of the sample at its smallest loss.  `run_all` makes the same
-    comparison chunk by chunk.
+    ratio of `points` at the least loss.  No points read deviation 0.
     """
-    phi, theta0, loss = _at_losses(points, losses)
-    iterated, _ = cascade(phi, theta0, loss, _passes([points], loss.min(initial=1.0)))
-    return _oracle_check(iterated, closed_form(phi, theta0, loss))
+    (result,) = _over_chunks(
+        lambda size: (points[start:start + size] for start in range(0, max(1, len(points)), size)),
+        losses, _oracle_only)
+    return result
 
 
 def output_normalization(coef: RecycledCoefficients) -> CheckResult:
@@ -226,8 +230,8 @@ def photon_factor_consistency(coef: RecycledCoefficients, lambda3) -> CheckResul
     return CheckResult("photon factor vs coefficient sum", worst, PHOTON_SUM_RTOL)
 
 
-# The per-chunk lines of `run_all`'s two phases, given a chunk's points at
-# every loss and the chunk's cascade.
+# The per-chunk lines of `run_all`'s two phases and of `oracle_equivalence`,
+# given a chunk's points at every loss and the chunk's cascade.
 def _grid_checks(phi, theta0, loss, iterated, slope) -> tuple[CheckResult, ...]:
     return (hd_factor_vs_derivative(lambda1_values(phi, theta0, loss), np.abs(slope.real)),
             qcrb_factor_vs_derivative(lambda2_values(phi, theta0, loss), np.abs(slope)))
@@ -240,12 +244,16 @@ def _sample_checks(phi, theta0, loss, iterated, slope) -> tuple[CheckResult, ...
             photon_factor_consistency(iterated, lambda3_values(phi, theta0, loss)))
 
 
+def _oracle_only(phi, theta0, loss, iterated, slope) -> tuple[CheckResult]:
+    return (_oracle_check(iterated, closed_form(phi, theta0, loss)),)
+
+
 def _over_chunks(chunks, losses, checks) -> list[CheckResult]:
     """Each line of `checks` at its worst over a point set, given as
-    `chunks(size)`, a fresh iterator of the set in chunks of at most `size`
-    points.  One pass over the set fixes its pass count; a second evaluates
-    every chunk at every loss.  The worst of a line is the np.max of its
-    chunks' worst, so a NaN anywhere reads NaN."""
+    `chunks(size)`, a fresh iterator of the set in one or more chunks of at
+    most `size` points.  One pass over the set fixes its pass count; a
+    second evaluates every chunk at every loss.  The worst of a line is the
+    np.max of its chunks' worst, so a NaN anywhere reads NaN."""
     size = max(1, CHUNK_POINT_LOSSES // max(1, len(losses)))
     passes = _passes(chunks(size), np.asarray(losses, dtype=float).min(initial=1.0))
     per_chunk = []

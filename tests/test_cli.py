@@ -797,6 +797,40 @@ def test_out_file_mode_follows_umask(capsys, tmp_path):
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
+@pytest.mark.parametrize("link", [False, True])
+def test_out_refuses_a_fifo(capsys, tmp_path, link):
+    # os.replace would put a regular file in the FIFO's place; through a
+    # symlink the FIFO is what --out names.
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    target = tmp_path / "link.csv" if link else fifo
+    if link:
+        target.symlink_to(fifo)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, "sweep", "--metric", "lambda1", "--loss", "0.1",
+                             "--n", "2", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "FileExistsError"
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_writes_through_a_symlink(capsys, tmp_path, existing):
+    # As open() would: the link stays, and the file it names, existing or
+    # not, takes the bytes.
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    if existing:
+        real.write_text("old\n")
+    link.symlink_to(real)
+    code, out, _ = run_cli(capsys, "point", "--phi", "1", "--theta0", "2", "--loss", "0.2",
+                           "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["lambda3"] > 1.0
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "recycled_mzi", "point", "--phi", "1.0",
@@ -943,6 +977,36 @@ def test_help_into_a_closed_pipe(unbuffered, entry, argv):
     # alone would drop the failed write and exit 0.
     child = run_into_closed_pipe([sys.executable, *entry, *argv], unbuffered)
     check_broken_pipe(child.returncode, child.stderr)
+
+
+def run_with_closed_stderr(argv, unbuffered, broken_stdout):
+    """Run argv with stderr a pipe whose reader closed before it started,
+    and stdout the same pipe when `broken_stdout`."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(argv, env=entry_env(unbuffered), stderr=write_end,
+                              stdout=write_end if broken_stdout else subprocess.PIPE)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("entry", [("-m", "recycled_mzi"), ("-c", CONSOLE_SCRIPT)])
+@pytest.mark.parametrize("argv, broken_stdout", [
+    # A domain error, whose one-line reason cannot be written.
+    (("point", "--phi", "1", "--theta0", "0", "--loss", "2"), False),
+    # A usage error: argparse drops the failed write of its message.
+    (("sweep", "--metric", "lambda9", "--loss", "0.1"), False),
+    # `... 2>&1 | head -1` once head has gone: stdout breaks, then stderr.
+    (("optimize", "--metric", "lambda2", "--losses", "0.1"), True),
+])
+def test_unwritable_stderr_keeps_exit_2(unbuffered, entry, argv, broken_stdout):
+    # Exit 1 is a failed verification's; buffered, the bytes left in
+    # stderr's buffer would fail the interpreter's last flush, exit 120.
+    child = run_with_closed_stderr([sys.executable, *entry, *argv], unbuffered, broken_stdout)
+    assert child.returncode == 2
+    assert broken_stdout or child.stdout == b""
 
 
 @pytest.mark.parametrize("argv", [

@@ -217,10 +217,11 @@ class TestStagesForTolerance:
     max|gamma|**(2**k) < STAGE_TOL over the sample, one count for every point."""
 
     def test_dead_loop_needs_one_stage(self):
-        # An empty loss list leaves nothing to check and counts as the dead
-        # loop.
-        for losses in ((1.0,), ()):
-            result, passes = oracle_passes([1.0, 0.0], losses)
+        # An empty loss list, or no points, leaves nothing to check and
+        # counts as the dead loop.
+        for points, losses in (([1.0, 0.0], (1.0,)), ([1.0, 0.0], ()),
+                               (np.empty((0, 2)), ORACLE_LOSSES)):
+            result, passes = oracle_passes(points, losses)
             assert passes == 1
             assert result.deviation == 0.0
 
@@ -254,6 +255,15 @@ class TestStagesForTolerance:
             count += 1
         assert oracle_passes(points, (0.4,))[1] == 1 << (count - 1).bit_length()
 
+    def test_pole_refused_as_closed_form_refuses_it(self):
+        # At the lossless pole |gamma| = 1 as well: the pass count refuses
+        # the pole first, with `closed_form`'s error and message.
+        with pytest.raises(ResonantPoleError) as closed:
+            closed_form(math.pi, 0.0, 0.0)
+        with pytest.raises(ResonantPoleError) as counted:
+            oracle_equivalence(np.array([[1.0, 0.0], [math.pi, 0.0]]), (0.5, 0.0))
+        assert str(counted.value) == str(closed.value)
+
     def test_noncontracting_loop_rejected(self):
         with pytest.raises(ConvergenceError, match=r"phi=3.14.*loss=0.0"):
             oracle_equivalence(np.array([[1.0, 0.0], [math.pi, 1.0]]), (0.5, 0.0))
@@ -279,6 +289,18 @@ class TestSteadyStateInvariants:
         # passes; a cascade of 2 passes would miss 1e-10.
         result = oracle_equivalence(np.array([[5e-5, 1.0]]), (0.5,))
         assert result.deviation < 1e-13
+
+    def test_peak_memory_does_not_grow_with_the_points(self):
+        # Chunk by chunk: ~3 MB traced, where the whole sample at the six
+        # default losses, held at once, traced 323 MB.
+        points = sample_points(200000)
+        tracemalloc.start()
+        try:
+            oracle_equivalence(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_single_stage_fails(self, monkeypatch):
         # One interferometer, no recycling: far from the steady state.  The
@@ -344,13 +366,22 @@ CHUNKED = {"points": 50, "seed": 5, "losses": (0.0, 0.05), "grid_n": 7}
 def test_chunk_size_changes_no_result(monkeypatch, chunk):
     # One point a chunk at 1; 9 sample points (two losses) and 18 grid
     # points (one derivative loss, 0.05) a chunk at 18; 13 and 26 at 26.
+    # `oracle_equivalence` on the sample is `run_all`'s oracle line.
+    sample = sample_points(CHUNKED["points"], seed=CHUNKED["seed"])
     expected = verification.run_all(**CHUNKED)
+    oracle = oracle_equivalence(sample, CHUNKED["losses"])
+    assert oracle == expected[0]
     monkeypatch.setattr(verification, "CHUNK_POINT_LOSSES", chunk)
     assert verification.run_all(**CHUNKED) == expected
+    assert oracle_equivalence(sample, CHUNKED["losses"]) == oracle
 
 
 def test_sample_chunks_join_to_the_sample():
+    # `sample_points` is the one-chunk case; `random_points` draws the same
+    # stream in one call of its own.
+    np.testing.assert_array_equal(sample_points(100, seed=11), random_points(100, seed=11))
     for size in (1, 7, 64, 1000):
         chunks = list(verification._sample_chunks(100, 11, size))
         assert max(len(chunk) for chunk in chunks) == min(size, 100)
         np.testing.assert_array_equal(np.concatenate(chunks), sample_points(100, seed=11))
+    assert sample_points(0).shape == (0, 2)

@@ -40,7 +40,8 @@ def test_tracer_spans_every_verification_suite(tracing):
     # `run_all` calls each comparison once per chunk, one chunk of each
     # point set at these sizes.  The oracle line shares its cascade with the
     # photon check, so `run_all` compares the two routes itself and never
-    # calls `oracle_equivalence`, the one-call form for a whole sample.
+    # calls `oracle_equivalence`, the same chunk loop with the oracle line
+    # alone.
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         assert main(["verify", "--points", "20", "--grid", "4"]) == 0
