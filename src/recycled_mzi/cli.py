@@ -145,20 +145,22 @@ def _write_chunks(chunks: Iterable[str], out_path: str | None) -> None:
         return
     target = os.path.realpath(out_path)
     try:
-        regular = stat.S_ISREG(os.stat(target).st_mode)
+        mode = os.stat(target).st_mode
     except FileNotFoundError:
-        regular = True
-    if not regular:
+        # A new path takes the mode a plain open() would give it, 0666 less
+        # the umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
         raise FileExistsError(f"{out_path!r} is not a regular file; --out must be a "
                               f"regular file or a new path")
     directory = os.path.dirname(target)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        # mkstemp creates the file private (0600); give it the mode a plain
-        # open() would, 0666 less the umask.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
+        # mkstemp creates the file private (0600); an existing file keeps its
+        # permission bits, as open() would keep them.
+        os.fchmod(fd, mode & 0o777)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
         os.replace(tmp_path, target)

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .metrology import KERNEL_POLE_THRESHOLD, METRICS
-from .optics import check_loss
+from .optics import check_integer, check_loss
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,12 +101,7 @@ def _check_loss(loss: float, floor: float = 0.0) -> None:
 
 
 def _check_grid(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ParameterError(f"grid size must be an integer, got {n}")
-    if n < 2:
-        raise ParameterError("grid needs at least 2 points per axis")
-    # Compared before squaring: a numpy integer's square can wrap.
-    if n > math.isqrt(MAX_GRID_POINTS):
+    if check_integer("grid size", n, 2) > math.isqrt(MAX_GRID_POINTS):
         raise ParameterError(f"grid of {n}x{n} exceeds {MAX_GRID_POINTS} points")
 
 

@@ -25,12 +25,11 @@ the closed form are meaningful for its magnitude only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError, ResonantPoleError
-from .optics import check_loss, mzi_entries, raise_where
+from .errors import ResonantPoleError
+from .optics import check_integer, check_loss, mzi_entries, raise_where
 
 # Below this loop-denominator magnitude the steady state is numerically
 # meaningless; reachable only at L = 0 with phi = pi, theta0 = 0 (mod 2*pi).
@@ -126,9 +125,7 @@ def cascade(phi, theta0, loss, passes) -> tuple[RecycledCoefficients, np.ndarray
     No step divides by 1 - gamma, which keeps the route independent of
     `closed_form`.
     """
-    if isinstance(passes, bool) or not isinstance(passes, Integral) or passes < 0:
-        raise ParameterError(f"recycling passes must be an integer >= 0, got {passes!r}")
-    passes = int(passes)
+    passes = check_integer("passes", passes, 0)
     s11, s12, s21, s22 = mzi_entries(phi)
     # d(exp(-i*phi))/d(phi) = -i*exp(-i*phi), so d(s11) = -i*(s11 + 1/2),
     # d(s12) = d(s21) = -i*(s12 - i/2) and d(s22) = -d(s11).

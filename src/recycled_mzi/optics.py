@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,6 +43,17 @@ def check_loss(loss) -> np.ndarray:
     flat = values.ravel()
     first = np.argmax(~((flat >= 0.0) & (flat <= 1.0)))
     raise ParameterError(f"loss must lie in [0, 1], got {given.flat[first]}")
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """A count, seed or grid size as a Python int, whose products cannot wrap.
+    Raises ParameterError unless it is a Python or numpy integer >= `least`;
+    a bool is refused though True == 1, as numpy's bool is no Integral."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def raise_where(mask, error: type, message: str, phi, theta0, loss) -> None:

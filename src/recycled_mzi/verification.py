@@ -24,14 +24,13 @@ over the points it is given, and `sample_points` the sample in one chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .loop import RecycledCoefficients, cascade, closed_form, loop_ratio, refuse_pole
 from .metrology import lambda1_values, lambda2_values, lambda3_values
-from .optics import LoopParameters, check_loss, raise_where
+from .optics import LoopParameters, check_integer, check_loss, raise_where
 
 DEFAULT_LOSSES = (0.05, 0.10, 0.15, 0.20, 0.5, 0.9)
 DEFAULT_POINTS = 1000
@@ -273,26 +272,18 @@ def run_all(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
             losses=DEFAULT_LOSSES, grid_n: int = DEFAULT_GRID) -> list[CheckResult]:
     """Run every suite and return the individual results.
 
-    Every input is checked before anything is allocated: the losses, that
-    points, seed and grid_n are integers, that points >= 1, seed >= 0 and
-    the grid has 2 points per axis, and both suite sizes, points x losses
-    and grid_n**2 x derivative losses, against MAX_POINT_LOSSES.  The
+    Every input is checked before anything is allocated: the losses
+    (`check_loss`), points >= 1, seed >= 0 and grid_n >= 2 as integers
+    (`check_integer`), and both suite sizes, points x losses and
+    grid_n**2 x derivative losses, against MAX_POINT_LOSSES.  The
     derivative grid runs first, so a grid with no point above
     SMALL_VALUE_FLOOR is refused before any point is sampled; then the
     sample.
     """
     check_loss(losses)
-    for name, value in (("points", points), ("seed", seed), ("grid_n", grid_n)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ParameterError(f"{name} must be an integer, got {value}")
     # Python integers, so that the size products below cannot wrap.
-    points, seed, grid_n = int(points), int(seed), int(grid_n)
-    if points < 1:
-        raise ParameterError(f"points must be >= 1, got {points}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if grid_n < 2:
-        raise ParameterError(f"derivative grid needs at least 2 points per axis, got {grid_n}")
+    points, seed, grid_n = (check_integer("points", points, 1), check_integer("seed", seed, 0),
+                            check_integer("grid_n", grid_n, 2))
     # An even grid holds the lossless pole, so the derivative comparisons
     # need loss > 0; fall back to the stock losses otherwise.
     derivative_losses = tuple(l for l in losses if l > 0.0) or DERIVATIVE_LOSSES

@@ -786,15 +786,24 @@ def test_usage_and_domain_errors_exit_2(capsys, tmp_path, argv, error):
 
 
 def test_out_file_mode_follows_umask(capsys, tmp_path):
-    target = tmp_path / "point.json"
+    # A new path takes 0666 less the umask; an existing file keeps its
+    # permission bits, as open() would, though the rename replaces it.
     previous = os.umask(0o027)
     try:
-        code, _, _ = run_cli(capsys, "point", "--phi", "1", "--theta0", "2", "--loss", "0.2",
-                             "--out", str(target))
+        for name, existing, expected in (("new.json", None, 0o640),
+                                         ("private.json", 0o600, 0o600),
+                                         ("shared.json", 0o644, 0o644)):
+            target = tmp_path / name
+            if existing is not None:
+                target.write_text("old\n")
+                target.chmod(existing)
+            code, _, _ = run_cli(capsys, "point", "--phi", "1", "--theta0", "2",
+                                 "--loss", "0.2", "--out", str(target))
+            assert code == 0
+            assert json.loads(target.read_text())["lambda3"] > 1.0
+            assert stat.S_IMODE(target.stat().st_mode) == expected, name
     finally:
         os.umask(previous)
-    assert code == 0
-    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 @pytest.mark.parametrize("link", [False, True])

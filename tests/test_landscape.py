@@ -158,6 +158,7 @@ class TestSweep:
         {"metric_tag": "lambda1", "loss": 0.5, "n": True},
         # Its square wraps to 0 in int64.
         {"metric_tag": "lambda1", "loss": 0.1, "n": np.int64(2**32)},
+        {"metric_tag": "lambda1", "loss": 0.5, "n": np.True_},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ParameterError):
@@ -317,7 +318,7 @@ class TestLossCurve:
     @pytest.mark.parametrize("kwargs, match", [
         ({"tol": 0.5}, "tol"),
         ({"metric_tag": "nope"}, "unknown metric"),
-        ({"grid_seed": 1}, "at least 2"),
+        ({"grid_seed": 1}, "must be >= 2"),
         ({"grid_seed": 100000}, "exceeds"),
         ({"grid_seed": 3.5}, "integer"),
         ({"tol": None}, "tol"),

@@ -159,9 +159,9 @@ class TestIterateSeries:
     def test_rejects_zero_stages(self):
         # One count for the whole call: a non-negative integer, of Python
         # or numpy type, but not a flag.
-        for bad in (-1, np.int64(-1), True, np.True_, 2.0, np.float64(2.0),
+        for bad in (-1, np.int64(-1), True, np.True_, 1.5, 2.0, np.float64(2.0),
                     np.array(2), np.array([1, 2])):
-            with pytest.raises(ParameterError, match=r"integer >= 0, got"):
+            with pytest.raises(ParameterError, match=r"^passes must be (an integer|>= 0), got"):
                 cascade(1.0, 0.0, 0.5, bad)
 
     def test_lockstep_matches_point_by_point_recursion(self):
@@ -170,8 +170,10 @@ class TestIterateSeries:
         # plain complex arithmetic, carrying the phase derivative of the
         # input coefficient pass by pass.
         points = random_points(40, seed=29)
-        for passes in (0, 1, 2, np.int32(9), 27, np.uint64(54)):
+        for passes in (0, 1, 2, np.int64(3), np.int32(9), 27, np.uint64(54)):
             batch, slope = cascade(points[:, 0], points[:, 1], 0.2, passes)
+            # A numpy count makes the very passes of its Python int.
+            assert cascade(1.0, 0.3, 0.2, passes) == cascade(1.0, 0.3, 0.2, int(passes))
             for k, (phi, theta0) in enumerate(points):
                 s11, s12, s21, s22 = (complex(s) for s in mzi_entries(phi))
                 u = cmath.exp(-1j * phi)
@@ -333,6 +335,9 @@ def test_run_all_evaluates_each_route_once(monkeypatch):
     # their order do not depend on the counts.
     kwargs = {"points": 7, "seed": 3, "losses": (0.1, 0.5), "grid_n": 5}
     expected = verification.run_all(**kwargs)
+    # numpy integers count as their Python ints.
+    as_numpy = {**kwargs, "points": np.int64(7), "grid_n": np.int32(5)}
+    assert verification.run_all(**as_numpy) == expected
     calls, passes = [], []
 
     def counted(name):

@@ -216,8 +216,8 @@ class TestCheckLoss:
 
 @pytest.mark.parametrize("kwargs,reason", [
     pytest.param({"losses": [0.1, 1.5]}, "got 1.5", id="losses"),
-    pytest.param({"grid_n": 1}, "at least 2 points per axis, got 1$", id="grid-1"),
-    pytest.param({"grid_n": -5}, "at least 2 points per axis, got -5$", id="grid-negative"),
+    pytest.param({"grid_n": 1}, "grid_n must be >= 2, got 1$", id="grid-1"),
+    pytest.param({"grid_n": -5}, "grid_n must be >= 2, got -5$", id="grid-negative"),
     pytest.param({"grid_n": 2.0}, "grid_n must be an integer, got 2.0$", id="grid-float"),
     pytest.param({"points": 1.5}, "points must be an integer, got 1.5$", id="points-float"),
     pytest.param({"points": True}, "points must be an integer, got True$", id="points-bool"),
