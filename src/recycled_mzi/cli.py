@@ -325,20 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flush_or_discard(stream) -> None:
-    """Flush a standard stream, or point it at os.devnull if it cannot be
-    written: the bytes a failed write left in its buffer would fail again at
-    the interpreter's last flush, which exits 120.  A closed stream's
-    descriptor may be the one os.devnull opens on, which then stays open."""
-    try:
-        stream.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        if devnull != stream.fileno():
-            os.dup2(devnull, stream.fileno())
-            os.close(devnull)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
@@ -361,8 +347,4 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         code = EXIT_USAGE
-    # After a broken pipe on stdout, or a failed write to stderr (argparse
-    # drops its own), the stream still holds bytes.
-    for stream in (sys.stdout, sys.stderr):
-        _flush_or_discard(stream)
     return code

@@ -50,7 +50,7 @@ def check_integer(name: str, value, least: int) -> int:
     Raises ParameterError unless it is a Python or numpy integer >= `least`;
     a bool is refused though True == 1, as numpy's bool is no Integral."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ParameterError(f"{name} must be an integer, got {value}")
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
     return int(value)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -966,9 +967,17 @@ def test_usage_error_exits_2_from_main(capsys):
     assert "invalid choice: 'lambda9'" in err
 
 
-# The console script's way in: `main`, then the interpreter's normal exit,
-# whose last flush must find no bytes left for the closed pipe.
-CONSOLE_SCRIPT = "import sys\nfrom recycled_mzi.__main__ import main\nsys.exit(main())\n"
+# The console script's way in, the shape of pip's wrapper around the entry
+# `[project.scripts]` names.
+CONSOLE_SCRIPT = "import sys\nfrom recycled_mzi.__main__ import run\nsys.exit(run())\n"
+
+
+def test_console_script_is_the_entry_the_tests_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"recycled-mzi": "recycled_mzi.__main__:run"}
+    assert "from recycled_mzi.__main__ import run\n" in CONSOLE_SCRIPT
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -1016,6 +1025,47 @@ def test_unwritable_stderr_keeps_exit_2(unbuffered, entry, argv, broken_stdout):
     child = run_with_closed_stderr([sys.executable, *entry, *argv], unbuffered, broken_stdout)
     assert child.returncode == 2
     assert broken_stdout or child.stdout == b""
+
+
+def run_with_closed_streams(argv, redirections):
+    """Run argv with the standard streams `redirections` closes (`>&-`,
+    `2>&-`) closed before it starts, so Python sets them to None."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirections}', "sh", *argv],
+                          env=entry_env(), stderr=subprocess.PIPE, text=True)
+
+
+CLOSED_STDOUT = json.dumps({"error": "OSError",
+                            "reason": str(OSError(errno.EBADF, os.strerror(errno.EBADF)))})
+
+
+@pytest.mark.parametrize("entry", [("-m", "recycled_mzi"), ("-c", CONSOLE_SCRIPT)])
+@pytest.mark.parametrize("argv", [
+    ("point", "--phi", "1", "--theta0", "0", "--loss", "0.2"),
+    ("sweep", "--metric", "lambda1", "--loss", "0.1", "--n", "4"),
+    ("optimize", "--metric", "lambda2", "--losses", "0.1"),
+    ("verify", "--points", "20"),
+    ("--help",),
+])
+def test_stdout_closed_at_start_up_exits_2(entry, argv):
+    # A closed pipe's exit and one-line reason, not a traceback's exit 1.
+    child = run_with_closed_streams([sys.executable, *entry, *argv], ">&-")
+    assert (child.returncode, child.stderr.splitlines()) == (2, [CLOSED_STDOUT])
+
+
+@pytest.mark.parametrize("entry", [("-m", "recycled_mzi"), ("-c", CONSOLE_SCRIPT)])
+def test_closed_stdout_is_no_error_for_out(tmp_path, entry):
+    target = tmp_path / "closed.csv"
+    child = run_with_closed_streams([sys.executable, *entry, "sweep", "--metric", "lambda1",
+                                     "--loss", "0.1", "--n", "4", "--out", str(target)], ">&-")
+    assert (child.returncode, child.stderr) == (0, "")
+    assert target.read_text().count("\n") == 1 + 4 * 4
+
+
+@pytest.mark.parametrize("entry", [("-m", "recycled_mzi"), ("-c", CONSOLE_SCRIPT)])
+def test_stdout_and_stderr_closed_at_start_up_exit_2(entry):
+    child = run_with_closed_streams([sys.executable, *entry, "point", "--phi", "1",
+                                     "--theta0", "0", "--loss", "0.2"], ">&- 2>&-")
+    assert child.returncode == 2
 
 
 @pytest.mark.parametrize("argv", [

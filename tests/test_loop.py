@@ -163,6 +163,9 @@ class TestIterateSeries:
                     np.array(2), np.array([1, 2])):
             with pytest.raises(ParameterError, match=r"^passes must be (an integer|>= 0), got"):
                 cascade(1.0, 0.0, 0.5, bad)
+        # A 0-d array prints as its value; its repr says why it is refused.
+        with pytest.raises(ParameterError, match=r"^passes must be an integer, got array\(2\)$"):
+            cascade(1.0, 0.0, 0.5, np.array(2))
 
     def test_lockstep_matches_point_by_point_recursion(self):
         # Every point of one array call makes the same passes, counted by a
